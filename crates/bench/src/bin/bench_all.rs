@@ -1,7 +1,9 @@
 //! `bench_all`: run the entire experiment suite — every table, figure and
 //! security campaign — in one process with a shared worker pool and a
 //! shared on-disk model cache, then print a per-experiment wall-clock
-//! table and record the perf baseline in `results/bench_speed.json`.
+//! table. The run journal, `results/run_report.json`, is the suite's one
+//! report: per-experiment status and seconds, cache counters, and the
+//! suite's `total_seconds`.
 //!
 //! Experiments run one after another (each is internally parallel across
 //! its sweep grid, which is where the work is), so stdout stays readable
@@ -14,8 +16,9 @@
 //! * after *each* experiment the driver journals
 //!   `results/run_report.json` (atomically, via tmp + rename) with the
 //!   per-experiment status, every lost sweep point, retry counts, and
-//!   cache quarantine/store-failure deltas — a crash mid-suite leaves a
-//!   valid report covering everything finished so far;
+//!   cache quarantine/store-failure deltas, plus the wall-clock seconds
+//!   since the suite started — a crash mid-suite leaves a valid report
+//!   covering everything finished so far;
 //! * `--resume` skips experiments the previous report (same scale)
 //!   recorded as clean and whose CSV is still present and not partial,
 //!   so an interrupted suite run finishes by re-running only what it
@@ -32,8 +35,6 @@
 //!
 //! Usage: `bench_all [--scale quick|default|full] [--threads N]
 //! [--no-cache] [--telemetry DIR] [--resume] [--deadline-secs N]`
-
-#![allow(clippy::disallowed_types)] // suite wall-clock table: diagnostics, not results
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -243,7 +244,7 @@ fn main() {
                     store_failures: 0,
                     telemetry: None,
                 });
-                journal(&ctx, &outcomes, exps.len());
+                journal(&ctx, &outcomes, exps.len(), suite_start.elapsed());
                 continue;
             }
         }
@@ -322,7 +323,7 @@ fn main() {
             store_failures: cache_after.store_failures - cache_before.store_failures,
             telemetry,
         });
-        journal(&ctx, &outcomes, exps.len());
+        journal(&ctx, &outcomes, exps.len(), suite_start.elapsed());
     }
     let total_seconds = suite_start.elapsed().as_secs_f64();
     let cache = ctx.cache.stats();
@@ -353,10 +354,6 @@ fn main() {
     );
     report_cache_health(&cache);
 
-    match write_speed_json(&ctx, &outcomes, total_seconds) {
-        Ok(path) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write results/bench_speed.json: {e}"),
-    }
     println!("journal at {REPORT_PATH}");
 
     let failures = outcomes.iter().filter(|o| o.status.is_failure()).count();
@@ -478,9 +475,11 @@ fn escape(s: &str) -> String {
 }
 
 /// Writes the journal after each experiment: tmp + rename, so a crash
-/// mid-write can never leave a truncated `run_report.json`.
-fn journal(ctx: &Ctx, outcomes: &[Outcome], total_experiments: usize) {
-    let body = render_report(ctx, outcomes, total_experiments);
+/// mid-write can never leave a truncated `run_report.json`. `elapsed` is
+/// the suite wall-clock so far; after the last experiment it is the
+/// suite's total.
+fn journal(ctx: &Ctx, outcomes: &[Outcome], total_experiments: usize, elapsed: Duration) {
+    let body = render_report(ctx, outcomes, total_experiments, elapsed);
     if let Err(e) = write_atomic(REPORT_PATH, &body) {
         eprintln!("failed to journal {REPORT_PATH}: {e}");
     }
@@ -497,7 +496,12 @@ fn write_atomic(path: &str, body: &str) -> std::io::Result<()> {
 
 /// Renders the run report. One experiment per line — [`can_skip`]'s
 /// resume scan depends on that shape.
-fn render_report(ctx: &Ctx, outcomes: &[Outcome], total_experiments: usize) -> String {
+fn render_report(
+    ctx: &Ctx,
+    outcomes: &[Outcome],
+    total_experiments: usize,
+    elapsed: Duration,
+) -> String {
     let cache = ctx.cache.stats();
     let mut s = String::new();
     let _ = writeln!(s, "{{");
@@ -513,6 +517,7 @@ fn render_report(ctx: &Ctx, outcomes: &[Outcome], total_experiments: usize) -> S
     }
     let _ = writeln!(s, "  \"total_experiments\": {total_experiments},");
     let _ = writeln!(s, "  \"completed_experiments\": {},", outcomes.len());
+    let _ = writeln!(s, "  \"total_seconds\": {:.3},", elapsed.as_secs_f64());
     let _ = writeln!(
         s,
         "  \"cache\": {{ \"hits\": {}, \"misses\": {}, \"store_failures\": {}, \
@@ -579,66 +584,4 @@ fn render_report(ctx: &Ctx, outcomes: &[Outcome], total_experiments: usize) -> S
     let _ = writeln!(s, "  ]");
     let _ = writeln!(s, "}}");
     s
-}
-
-/// Emits the perf baseline: suite and per-experiment wall-clock, thread
-/// count, and cache hit rate. Hand-rolled JSON — every value is a number,
-/// a bool, or a name under our control (plus `reason` strings, which get
-/// minimal escaping).
-fn write_speed_json(
-    ctx: &Ctx,
-    outcomes: &[Outcome],
-    total_seconds: f64,
-) -> std::io::Result<String> {
-    let cache = ctx.cache.stats();
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"schema\": 1,");
-    // Same code fingerprint as the root BENCH_speed.json (both derive it
-    // from CODE_SALT), so the two perf artifacts can be matched to one
-    // model revision.
-    let _ = writeln!(s, "  \"fingerprint\": \"{}\",", bench::speed::fingerprint());
-    let _ = writeln!(s, "  \"scale\": \"{}\",", ctx.scale.name());
-    let _ = writeln!(s, "  \"threads\": {},", ctx.pool.threads());
-    let _ = writeln!(s, "  \"cache_enabled\": {},", ctx.cache.is_enabled());
-    let _ = writeln!(
-        s,
-        "  \"cache\": {{ \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4} }},",
-        cache.hits,
-        cache.misses,
-        cache.hit_rate()
-    );
-    let _ = writeln!(s, "  \"total_seconds\": {total_seconds:.3},");
-    let _ = writeln!(s, "  \"experiments\": [");
-    for (i, o) in outcomes.iter().enumerate() {
-        let comma = if i + 1 < outcomes.len() { "," } else { "" };
-        match &o.reason {
-            None => {
-                let _ = writeln!(
-                    s,
-                    "    {{ \"name\": \"{}\", \"seconds\": {:.3}, \"ok\": {} }}{comma}",
-                    o.name,
-                    o.seconds,
-                    !o.status.is_failure()
-                );
-            }
-            Some(reason) => {
-                let _ = writeln!(
-                    s,
-                    "    {{ \"name\": \"{}\", \"seconds\": {:.3}, \"ok\": false, \
-                     \"reason\": \"{}\" }}{comma}",
-                    o.name,
-                    o.seconds,
-                    escape(reason)
-                );
-            }
-        }
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    std::fs::create_dir_all("results").and_then(|()| {
-        let path = "results/bench_speed.json";
-        std::fs::write(path, s)?;
-        Ok(path.to_string())
-    })
 }

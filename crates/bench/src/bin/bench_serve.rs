@@ -10,9 +10,8 @@
 //!   unless every deterministic counter matches **exactly** and
 //!   predictions/sec retained at least 50% — this is what CI's
 //!   `serve-resilience` job runs on the clean pass (no file writes). The
-//!   throughput floor is looser than `bench_speed`'s because an
-//!   end-to-end multi-threaded service soak wobbles more on shared
-//!   runners than a single-kernel loop; the counters carry the exact
+//!   throughput floor is loose because an end-to-end multi-threaded
+//!   service soak wobbles on shared runners; the counters carry the exact
 //!   regression authority.
 //!
 //! When `HYBP_FAULT_POINTS` carries service faults (`shard-panic`,
@@ -33,9 +32,9 @@ use bp_common::telemetry::Health;
 use bp_faults::points::PointFaultPlan;
 
 /// Fraction of the committed predictions/sec the soak must retain under
-/// `--check`. Looser than `bench_speed`'s 0.75: the soak is end-to-end
-/// and multi-threaded, so runner-to-runner variance is wider; exact
-/// counter equality is the precise half of the gate.
+/// `--check`. Loose because the soak is end-to-end and multi-threaded, so
+/// runner-to-runner variance is wide; exact counter equality is the
+/// precise half of the gate.
 const CHECK_RETAIN: f64 = 0.5;
 
 const USAGE: &str = "usage: bench_serve [--quick|--full] [--threads N] [--rebaseline] [--check] [--out PATH] [--journal PATH]

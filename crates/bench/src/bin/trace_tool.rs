@@ -96,7 +96,7 @@ fn record(args: &[String]) -> Result<ExitCode, String> {
         Some(v) => v.parse().map_err(|_| format!("bad --margin value '{v}'"))?,
         None => 1.25,
     };
-    if !(margin >= 1.0) {
+    if margin.is_nan() || margin < 1.0 {
         return Err("--margin must be >= 1.0 (the budget is a floor, not a target)".into());
     }
     let chunk: usize = match flag_value(args, "--chunk")? {

@@ -121,7 +121,6 @@ pub fn parse_threads(v: &str) -> Result<usize, String> {
 /// Resolves the worker count when `--threads` is absent: a set
 /// `HYBP_THREADS` must parse (same strictness as the flag), otherwise the
 /// machine's available parallelism is used.
-#[allow(clippy::disallowed_methods)] // waived in bp-lint with the reason below
 fn threads_from_env() -> Result<usize, String> {
     // bp-lint: allow(determinism-env) reason="HYBP_THREADS is an operator parallelism knob; it changes scheduling only, never the simulated results"
     match std::env::var("HYBP_THREADS") {

@@ -36,10 +36,8 @@ pub mod cache;
 pub mod cli;
 pub mod experiments;
 pub mod serve;
-pub mod speed;
 pub mod supervise;
 pub mod telemetry;
-pub mod timing;
 
 pub use cache::{CacheKey, ModelCache};
 pub use cli::{exp_main, Ctx};

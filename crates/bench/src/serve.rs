@@ -10,18 +10,16 @@
 //!   *virtual* cycles. These are bit-identical for any `--threads` value
 //!   and are compared **exactly** under `bench_serve --check`;
 //! * **throughput** — wall-clock predictions per second, compared under
-//!   `--check` with the same 25% retain floor as `bench_speed`.
+//!   `--check` against a retain floor (half the committed number).
 //!
 //! Results land in the root-level `BENCH_serve.json` (written by the
-//! `bench_serve` bin) next to `BENCH_speed.json`, with the same pinned
-//! `baseline` block discipline. Fault-injected runs (`HYBP_FAULT_POINTS`
+//! `bench_serve` bin), with a pinned `baseline` block that only a
+//! deliberate `--rebaseline` moves. Fault-injected runs (`HYBP_FAULT_POINTS`
 //! with `shard-panic`/`refresh-stall`/`queue-overload` entries) never touch
 //! the pinned file; instead they write a journal naming every shed and lost
 //! request so the CI `serve-resilience` job can prove nothing was silently
 //! dropped. The wall clock only ever feeds the throughput number and
 //! diagnostics — never the counters — hence the file-wide waiver below.
-
-#![allow(clippy::disallowed_types)] // Instant, waived file-wide in bp-lint below
 
 // bp-lint: allow-file(determinism-time) reason="service soak harness: wall-clock predictions/sec is the deliverable (BENCH_serve.json trajectory); every checked counter is virtual-time and thread-invariant"
 use std::fmt::Write as _;
@@ -113,7 +111,7 @@ pub struct SoakResult {
     /// Virtual-time counters (checked exactly).
     pub counters: SoakCounters,
     /// Answered predictions per wall-clock second (checked with a retain
-    /// floor, like the speed kernels).
+    /// floor).
     pub predictions_per_sec: f64,
 }
 
@@ -133,8 +131,8 @@ pub struct ServeBenchReport {
     pub schema: u32,
     /// Measurement mode of the live `soak` block.
     pub mode: String,
-    /// Config fingerprint (derived from [`CODE_SALT`], like
-    /// `BENCH_speed.json`, plus a serve-suite tag).
+    /// Config fingerprint (derived from [`CODE_SALT`] plus a serve-suite
+    /// tag).
     pub fingerprint: String,
     /// The live measurement.
     pub soak: SoakResult,
@@ -637,11 +635,10 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_stable_hex_and_distinct_from_speed() {
+    fn fingerprint_is_stable_hex() {
         let f = fingerprint();
         assert_eq!(f.len(), 16);
         assert_eq!(f, fingerprint());
         assert!(f.chars().all(|c| c.is_ascii_hexdigit()));
-        assert_ne!(f, crate::speed::fingerprint());
     }
 }

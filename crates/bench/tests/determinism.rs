@@ -1,7 +1,7 @@
 //! Determinism guarantees of the parallel sweep executor and the model
-//! cache: worker count must never change a number, and a cache round-trip
-//! (including through corruption) must reproduce cold-run values
-//! bit-exactly.
+//! cache: worker count must never change a number — down to the bytes of
+//! an experiment's CSV — and a cache round-trip (including through
+//! corruption) must reproduce cold-run values bit-exactly.
 
 use bench::cache::{CacheKey, ModelCache};
 use bench::{model_cached, no_switch_config, no_switch_ipc_cached, Ctx, Scale};
@@ -69,7 +69,6 @@ fn par_map_output_is_input_ordered_not_completion_ordered() {
         if i % 4 == 0 {
             // Staged uneven timing so completion order differs from input
             // order; not a hot-path block.
-            #[allow(clippy::disallowed_methods)]
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
         i * 3
@@ -200,4 +199,76 @@ fn disabled_cache_still_computes_correctly() {
     assert_eq!(a.to_bits(), b.to_bits());
     assert_eq!(ctx.cache.stats().hits, 0);
     assert!(!ctx.cache.dir().exists());
+}
+
+/// A context with a disabled cache in a fresh temp dir: every point truly
+/// simulates, so the comparison exercises the monomorphized hot path, not
+/// the cache.
+fn csv_ctx(base: &std::path::Path, threads: usize) -> Ctx {
+    Ctx::custom(
+        Scale::Quick,
+        Pool::new(threads),
+        ModelCache::at_dir(base.join("cache"), false),
+    )
+    .with_results_dir(base.join("results"))
+}
+
+fn csv_bytes_for_threads(tag: &str, threads: usize, run: impl Fn(&Ctx), csv_name: &str) -> String {
+    let base = std::env::temp_dir().join(format!(
+        "hybp-csv-determinism-{tag}-t{threads}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&base);
+    let ctx = csv_ctx(&base, threads);
+    run(&ctx);
+    let text = std::fs::read_to_string(base.join("results").join(csv_name)).expect("CSV written");
+    let _ = std::fs::remove_dir_all(&base);
+    text
+}
+
+/// Fig. 5 (per-app IPC bars, subset): byte-identical CSV at 1 and 4 worker
+/// threads. Hot-path optimizations may only make a run faster, never
+/// different.
+#[test]
+fn fig5_csv_is_byte_identical_across_thread_counts() {
+    let benches = [SpecBenchmark::Mcf, SpecBenchmark::Xz];
+    let texts: Vec<String> = [1usize, 4]
+        .iter()
+        .map(|&threads| {
+            csv_bytes_for_threads(
+                "fig5",
+                threads,
+                |ctx| {
+                    bench::experiments::fig5::run_with_benches(ctx, &benches)
+                        .expect("fig5 subset runs clean");
+                },
+                "fig5_hybp_per_app.csv",
+            )
+        })
+        .collect();
+    assert!(!texts[0].is_empty(), "CSV must carry rows");
+    assert_eq!(texts[0], texts[1], "fig5 CSV depends on the worker count");
+}
+
+/// Fig. 7 (SMT mixes): the same byte-identity guarantee for the SMT path.
+/// The full mix table is simulation-heavy, so debug runs skip it; the CI
+/// `bench-suite` job runs it in release with `--include-ignored`.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "simulation-heavy; run in release CI")]
+fn fig7_csv_is_byte_identical_across_thread_counts() {
+    let texts: Vec<String> = [1usize, 4]
+        .iter()
+        .map(|&threads| {
+            csv_bytes_for_threads(
+                "fig7",
+                threads,
+                |ctx| {
+                    bench::experiments::fig7::run(ctx).expect("fig7 runs clean");
+                },
+                "fig7_smt_mixes.csv",
+            )
+        })
+        .collect();
+    assert!(!texts[0].is_empty(), "CSV must carry rows");
+    assert_eq!(texts[0], texts[1], "fig7 CSV depends on the worker count");
 }

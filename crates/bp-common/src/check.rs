@@ -175,7 +175,6 @@ impl Checker {
     }
 }
 
-#[allow(clippy::disallowed_methods)] // waived in bp-lint with the reason below
 fn replay_seed() -> Option<u64> {
     // bp-lint: allow(determinism-env) reason="BP_CHECK_SEED is an explicit operator replay knob; unset in normal runs, and the chosen seed is echoed into the failure report"
     let raw = std::env::var("BP_CHECK_SEED").ok()?;

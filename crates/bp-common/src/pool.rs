@@ -56,8 +56,6 @@
 //! assert_eq!(out[2].as_ref().ok(), Some(&30));
 //! ```
 
-#![allow(clippy::disallowed_types)] // Instant, waived file-wide in bp-lint below
-
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -316,7 +314,6 @@ where
 // Retry backoff is the one place the workspace intentionally blocks a
 // worker thread: it runs only after a task already failed, far from any
 // answer hot path.
-#[allow(clippy::disallowed_methods)]
 fn backoff_sleep(retry: &RetryPolicy, index: usize, attempt: u32) {
     let ms = retry.backoff_ms(index, attempt);
     if ms > 0 {
@@ -600,7 +597,6 @@ impl Observable for Pool {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // tests stage uneven timing with sleeps
 mod tests {
     use super::*;
 

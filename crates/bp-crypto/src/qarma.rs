@@ -669,8 +669,8 @@ mod tests {
         let (w0, k0) = (c.w0, c.k0);
         let w1 = ortho(w0);
         let mut is = plaintext ^ w0;
-        for i in 0..c.rounds {
-            is = ref_forward(is, k0 ^ tweak ^ C[i], i != 0, s);
+        for (i, &ci) in C.iter().enumerate().take(c.rounds) {
+            is = ref_forward(is, k0 ^ tweak ^ ci, i != 0, s);
             tweak = forward_update_tweak(tweak);
         }
         is = ref_forward(is, w1 ^ tweak, true, s);

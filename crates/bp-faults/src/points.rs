@@ -290,7 +290,6 @@ impl PointFaultPlan {
     ///
     /// Propagates [`PointFaultPlan::parse`] errors, prefixed with the
     /// variable name.
-    #[allow(clippy::disallowed_methods)] // waived in bp-lint with the reason below
     pub fn from_env() -> Result<PointFaultPlan, String> {
         // bp-lint: allow(determinism-env) reason="the fault plan env var is an explicit operator injection knob; clean runs leave it unset and get the empty plan"
         match std::env::var(ENV_VAR) {

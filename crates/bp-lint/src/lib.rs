@@ -157,56 +157,18 @@ pub fn run_lint(config: &Config, baseline: &Baseline) -> Result<Report, LintErro
         report.files_scanned += 1;
         scan_file_collect(config, rel, &class, &src, &mut report, &mut sequences);
     }
-    // Workspace passes. These findings land after waiver resolution by
-    // design: a lock-order inversion spans two sites and a budget drift
-    // spans manifest + source, so neither can be accepted by one inline
-    // comment — fix the code or the manifest.
+    // Workspace pass. Its findings land after waiver resolution by
+    // design: a lock-order inversion spans two sites, so it cannot be
+    // accepted by one inline comment — fix the code.
     report
         .findings
         .append(&mut rules::serve::finalize_lock_order(&sequences));
-    storage_budget_pass(config, &mut report)?;
     report.normalize();
     baseline.apply(&mut report);
     // Baselining happens after waiver resolution; re-sort in case stale
     // entries were appended.
     report.normalize();
     Ok(report)
-}
-
-/// Runs the `storage-budget` rule: reads `budgets.toml` at the workspace
-/// root (its absence is itself a finding — the manifest is part of the
-/// invariant) plus every source file each section lists, and appends
-/// findings for computed ≠ declared, reference drift, or tier overflow.
-fn storage_budget_pass(config: &Config, report: &mut Report) -> Result<(), LintError> {
-    let manifest_path = config.root.join("budgets.toml");
-    let manifest = match fs::read_to_string(&manifest_path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            report.findings.push(Finding {
-                rule: "storage-budget",
-                file: "budgets.toml".to_string(),
-                line: 1,
-                snippet: "budgets.toml".to_string(),
-                message:
-                    "storage-budget manifest `budgets.toml` is missing from the workspace root"
-                        .to_string(),
-                status: Status::Active,
-            });
-            return Ok(());
-        }
-        Err(e) => return Err(LintError::Io(format!("{}: {e}", manifest_path.display()))),
-    };
-    let mut sources = Vec::new();
-    for rel in rules::budget::listed_files(&manifest) {
-        let abs = config.root.join(&rel);
-        let src = fs::read_to_string(&abs)
-            .map_err(|e| LintError::Io(format!("{}: {e}", abs.display())))?;
-        sources.push((rel, src));
-    }
-    report
-        .findings
-        .append(&mut rules::budget::check(&manifest, &sources));
-    Ok(())
 }
 
 /// Lints one file's source text (separated from I/O for fixture tests).

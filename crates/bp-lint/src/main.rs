@@ -2,12 +2,8 @@
 //!
 //! ```text
 //! bp_lint [--root DIR] [--format text|json] [--baseline FILE]
-//!         [--deny-new] [--write-baseline] [--list-rules] [--budgets]
+//!         [--deny-new] [--write-baseline] [--list-rules]
 //! ```
-//!
-//! `--budgets` prints the deterministic computed-vs-declared storage
-//! table from `budgets.toml` and exits 1 on any divergence — the CI
-//! `budget-drift` step runs exactly this.
 //!
 //! Exit codes: `0` clean (every finding fixed, waived, or baselined, and
 //! no stale baseline entries), `1` violations, `2` usage or I/O error.
@@ -25,7 +21,6 @@ struct Cli {
     baseline: Option<PathBuf>,
     write_baseline: bool,
     list_rules: bool,
-    budgets: bool,
 }
 
 fn parse_args() -> Result<Cli, LintError> {
@@ -35,7 +30,6 @@ fn parse_args() -> Result<Cli, LintError> {
         baseline: None,
         write_baseline: false,
         list_rules: false,
-        budgets: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -67,10 +61,9 @@ fn parse_args() -> Result<Cli, LintError> {
             "--deny-new" => {}
             "--write-baseline" => cli.write_baseline = true,
             "--list-rules" => cli.list_rules = true,
-            "--budgets" => cli.budgets = true,
             other => {
                 return Err(LintError::Usage(format!(
-                    "unknown argument `{other}` (try --root, --format, --baseline, --deny-new, --write-baseline, --list-rules, --budgets)"
+                    "unknown argument `{other}` (try --root, --format, --baseline, --deny-new, --write-baseline, --list-rules)"
                 )));
             }
         }
@@ -109,25 +102,6 @@ fn run() -> Result<ExitCode, LintError> {
         Some(r) => r,
         None => find_root()?,
     };
-    if cli.budgets {
-        let manifest_path = root.join("budgets.toml");
-        let manifest = std::fs::read_to_string(&manifest_path)
-            .map_err(|e| LintError::Io(format!("{}: {e}", manifest_path.display())))?;
-        let mut sources = Vec::new();
-        for rel in bp_lint::rules::budget::listed_files(&manifest) {
-            let abs = root.join(&rel);
-            let src = std::fs::read_to_string(&abs)
-                .map_err(|e| LintError::Io(format!("{}: {e}", abs.display())))?;
-            sources.push((rel, src));
-        }
-        let (table, clean) = bp_lint::rules::budget::budget_table(&manifest, &sources);
-        print!("{table}");
-        return Ok(if clean {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        });
-    }
     let baseline_path = cli
         .baseline
         .unwrap_or_else(|| root.join("bp-lint.baseline.json"));

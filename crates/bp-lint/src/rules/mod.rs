@@ -5,7 +5,6 @@
 //! live in [`crate::Config`] so fixture tests can build small fake
 //! workspaces that exercise every rule without touching the real tree.
 
-pub mod budget;
 pub mod determinism;
 pub mod panic_freedom;
 pub mod secret;
@@ -33,7 +32,6 @@ pub const ALL_RULES: &[&str] = &[
     "secret-taint-store",
     "serve-hot-lock",
     "serve-lock-order",
-    "storage-budget",
     "unsafe-audit",
     "waiver-hygiene",
 ];
@@ -86,8 +84,7 @@ impl FileCtx<'_> {
 /// collecting lock sequences for the cross-file `serve-lock-order`
 /// finalize.
 ///
-/// Workspace-level passes — `storage-budget` (needs the manifest plus
-/// every listed source) and [`serve::finalize_lock_order`] — run from
+/// The workspace-level pass, [`serve::finalize_lock_order`], runs from
 /// [`crate::run_lint`], not here.
 pub fn run_all(
     ctx: &FileCtx<'_>,

@@ -3,10 +3,9 @@
 //! malformed-waiver case; plus the self-check that the real workspace is
 //! clean and that JSON output is byte-deterministic.
 
-use bp_lint::baseline::Baseline;
 use bp_lint::report::{Report, Status};
 use bp_lint::scope::{FileClass, FileKind};
-use bp_lint::{run_lint, scan_file, Config};
+use bp_lint::{scan_file, Config};
 use std::collections::BTreeSet;
 
 /// Lints `src` as if it were the named workspace-relative library file,
@@ -677,42 +676,6 @@ pub fn second(locks: &Locks) {
 "#;
     let report = lint_src("crates/fix/src/serve_paths.rs", src);
     assert!(active(&report).is_empty(), "{:?}", report.findings);
-}
-
-// -------------------------------------------------------------- storage-budget
-
-/// `run_lint` reads `budgets.toml` from the workspace root and anchors
-/// drift findings in it — the fixture drifts `total_bits` by one.
-#[test]
-fn storage_budget_drift_is_an_active_finding() {
-    let dir = std::env::temp_dir().join(format!("bp-lint-budget-fixture-{}", std::process::id()));
-    let src_dir = dir.join("crates").join("fix").join("src");
-    std::fs::create_dir_all(&src_dir).expect("mkdir fixture tree");
-    std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "pub const ENTRIES: usize = 64;\npub const ENTRY_BITS: usize = 47;\n",
-    )
-    .expect("write source");
-    std::fs::write(
-        dir.join("budgets.toml"),
-        "[loop_pred.default_scl]\n\
-         files = [\"crates/fix/src/lib.rs\"]\n\
-         component.entries = \"ENTRIES * ENTRY_BITS\"\n\
-         total_bits = 3009\n",
-    )
-    .expect("write budgets");
-
-    let config = Config::workspace_default(&dir);
-    let report = run_lint(&config, &Baseline::default()).expect("lint runs");
-    assert!(
-        report.findings.iter().any(|f| f.rule == "storage-budget"
-            && f.file == "budgets.toml"
-            && f.message.contains("computed storage is 3008")),
-        "{:?}",
-        report.findings
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // -------------------------------------------------------- lexer-level silence

@@ -54,9 +54,8 @@ fn panic_freedom_and_secret_hygiene_carry_no_baseline_debt() {
     // The checked-in baseline must stay empty for these rules: new debt is
     // either fixed or waived with a reason, never grandfathered. The taint
     // rules replaced the v1 lexical `secret-format`/`secret-branch` pair
-    // and inherit its no-debt policy; the workspace-level rules
-    // (storage-budget, serve-lock-order) are unwaivable *and*
-    // unbaselineable.
+    // and inherit its no-debt policy; the workspace-level rule
+    // (serve-lock-order) is unwaivable *and* unbaselineable.
     let root = workspace_root();
     let text = std::fs::read_to_string(root.join("bp-lint.baseline.json")).expect("read baseline");
     for rule in [
@@ -68,7 +67,6 @@ fn panic_freedom_and_secret_hygiene_carry_no_baseline_debt() {
         "secret-taint-store",
         "serve-hot-lock",
         "serve-lock-order",
-        "storage-budget",
     ] {
         assert!(
             !text.contains(rule),
@@ -127,12 +125,6 @@ fn injected_violation_is_caught() {
         .findings
         .iter()
         .any(|f| f.rule == "panic-freedom" && f.file == "crates/bp-common/src/lib.rs"));
-    // The fixture tree has no budgets.toml: the manifest's absence is
-    // itself a storage-budget finding, not a silent pass.
-    assert!(report
-        .findings
-        .iter()
-        .any(|f| f.rule == "storage-budget" && f.message.contains("missing")));
 
     std::fs::remove_dir_all(&dir).ok();
     let _ = Path::new("unused");

@@ -31,6 +31,5 @@ pub use sampled::{
     MPKI_ABS_MARGIN, MPKI_REL_MARGIN,
 };
 pub use sim::{
-    kernel_stream_name, kernel_stream_seed, stream_name, stream_seed, CycleDriver, Simulation,
-    SimulationBuilder,
+    kernel_stream_name, kernel_stream_seed, stream_name, stream_seed, Simulation, SimulationBuilder,
 };

@@ -12,9 +12,9 @@
 //! comparable — that comparison is what the `bench_sampling` harness and
 //! the CI `sampling-integrity` job pin.
 //!
-//! Both drivers share the [`CycleDriver`](crate::CycleDriver) cost model:
-//! each record costs its gap plus one cycle, plus the charged BTB latency,
-//! plus [`MISPREDICT_REDIRECT_CYCLES`] on a miss. The sampled estimate is
+//! Both drivers share one cost model, `drive_one`'s: each record costs
+//! its gap plus one cycle, plus the charged BTB latency, plus
+//! [`MISPREDICT_REDIRECT_CYCLES`] on a miss. The sampled estimate is
 //! therefore an estimator *of the full replay under this model*, and the
 //! reported [`SampledEstimate::error_bound_mpki`] bounds that gap — see
 //! `DESIGN.md` §6h for the derivation.
@@ -26,8 +26,8 @@ use hybp::SecureBpu;
 use crate::error::SimError;
 use crate::sim::{stream_name, stream_seed, SimulationBuilder};
 
-/// Redirect penalty charged per misprediction, matching
-/// [`CycleDriver`](crate::CycleDriver)'s virtual clock.
+/// Redirect penalty charged per misprediction under the shared cycle
+/// model.
 pub const MISPREDICT_REDIRECT_CYCLES: u64 = 8;
 
 /// Relative slack in the error bound: covers warmup truncation bias (the

@@ -357,90 +357,6 @@ impl SimulationBuilder {
         }
         Ok(sim)
     }
-
-    /// Builds a [`CycleDriver`] instead of a full [`Simulation`]: the same
-    /// BPU and workload feed, stripped of the fetch/retire pipeline model so
-    /// micro-benchmarks can push one branch per call through the complete
-    /// predict-resolve-redirect path (`bench::speed`'s `full_cycle` kernel).
-    ///
-    /// Only the first hardware thread's first software feed drives the BPU;
-    /// configure it with [`single_thread`](SimulationBuilder::single_thread).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`build`](SimulationBuilder::build).
-    pub fn build_cycle_driver(self) -> Result<CycleDriver, ConfigError> {
-        let mut sim = self.build()?;
-        let hw = sim.contexts[0].hw;
-        let asid = sim.contexts[0].asids[0];
-        let ctx = sim.contexts.swap_remove(0);
-        let feed = ctx
-            .user_gens
-            .into_iter()
-            .next()
-            .ok_or_else(|| ConfigError::zero("software threads"))?;
-        Ok(CycleDriver {
-            bpu: sim.bpu,
-            feed,
-            hw,
-            asid,
-            now: 1,
-            branches: 0,
-            mispredicts: 0,
-        })
-    }
-}
-
-/// A branch-at-a-time driver over the full BPU path — context lookup, codec
-/// transforms, direction predict, BTB lookup, training, and redirect
-/// bookkeeping — without the surrounding pipeline timing model.
-///
-/// This is the measurement substrate for the `full_cycle` kernel in
-/// `bench::speed`: each [`drive_one`](CycleDriver::drive_one) call feeds one
-/// generated branch through [`SecureBpu::process_branch`] on a virtual cycle
-/// clock that advances by the charged latency, so key-refresh cadence and
-/// BTB latency behave as they do in a real run.
-// No `Debug`: owns the [`SecureBpu`] and with it the key material
-// (secret-hygiene).
-pub struct CycleDriver {
-    bpu: SecureBpu,
-    feed: Feed,
-    hw: HwThreadId,
-    asid: Asid,
-    now: Cycle,
-    branches: u64,
-    mispredicts: u64,
-}
-
-impl CycleDriver {
-    /// Feeds the next workload branch through the BPU and returns whether it
-    /// mispredicted. Advances the virtual cycle clock by the outcome's
-    /// charged latency so refresh thresholds fire on a realistic cadence.
-    pub fn drive_one(&mut self) -> bool {
-        let rec = self.feed.next_branch();
-        let outcome = self.bpu.process_branch(self.hw, &rec, self.now);
-        let miss = outcome.mispredicted();
-        self.now += 1 + outcome.btb_latency as Cycle + if miss { 8 } else { 0 };
-        self.branches += 1;
-        self.mispredicts += miss as u64;
-        miss
-    }
-
-    /// Branches driven so far.
-    pub fn branches(&self) -> u64 {
-        self.branches
-    }
-
-    /// Mispredicted branches so far (sanity telemetry for the harness: a
-    /// driver predicting everything or nothing indicates a wiring bug).
-    pub fn mispredicts(&self) -> u64 {
-        self.mispredicts
-    }
-
-    /// The active security-domain announcement, re-assertable after flushes.
-    pub fn reannounce(&mut self) {
-        self.bpu.on_context_switch(self.hw, self.asid, self.now);
-    }
 }
 
 /// A trace-driven, cycle-level SMT simulation of one core plus OS events.

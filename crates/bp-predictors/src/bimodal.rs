@@ -39,8 +39,8 @@ pub struct Bimodal {
     id: TableId,
 }
 
-/// Prediction entries of the paper's base predictor. Named (and kept a
-/// plain literal) so `budgets.toml` can verify storage bit-for-bit.
+/// Prediction entries of the paper's base predictor. `crate::budget` pins
+/// the base predictor's storage bit for bit.
 pub const PAPER_BIMODAL_ENTRIES: usize = 8192;
 /// Hysteresis sharing shift of the paper's base predictor (2:1).
 pub const PAPER_BIMODAL_HYST_SHIFT: u32 = 1;

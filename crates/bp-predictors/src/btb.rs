@@ -33,8 +33,8 @@ pub struct BtbConfig {
     pub entry_bits: u32,
 }
 
-// Zen 2-style geometry, named (and kept plain literals) so
-// `budgets.toml` can verify the storage budget bit-for-bit.
+// Zen 2-style geometry. `crate::budget` pins the storage these values add
+// up to, bit for bit.
 
 /// Modeled bits per BTB entry (target + attributes; Zen 2-style).
 pub const BTB_ENTRY_BITS: u32 = 60;

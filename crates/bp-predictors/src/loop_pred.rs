@@ -39,8 +39,8 @@ pub struct LoopVerdict {
     pub confident: bool,
 }
 
-// Named geometry (plain literals) so `budgets.toml` can verify the
-// storage budget bit-for-bit via the `storage-budget` lint.
+// Default SC-L loop-predictor geometry. `crate::budget` pins the storage
+// these values add up to, bit for bit.
 
 /// Entries of the default SC-L loop predictor.
 pub const SCL_LOOP_ENTRIES: usize = 64;

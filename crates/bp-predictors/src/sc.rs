@@ -22,8 +22,8 @@ pub struct ScConfig {
     pub ctr_bits: u32,
 }
 
-/// Entries per component table of the default corrector. Named (and kept
-/// a plain literal) so `budgets.toml` can verify storage bit-for-bit.
+/// Entries per component table of the default corrector. `crate::budget`
+/// pins the corrector's storage bit for bit.
 pub const SCL_SC_ENTRIES: usize = 1024;
 /// Component tables of the default corrector (bias + three histories).
 pub const SCL_SC_TABLES: usize = 4;

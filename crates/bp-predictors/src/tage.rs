@@ -49,9 +49,8 @@ pub struct TageConfig {
     pub u_reset_period: u64,
 }
 
-// Paper-scale geometry, named so `budgets.toml` can verify the storage
-// budget bit-for-bit against these exact values (the `storage-budget`
-// lint parses them from this file; keep them plain integer literals).
+// Paper-scale geometry. `crate::budget` pins the storage these values
+// add up to, bit for bit, against `TageConfig::paper_scl().storage_bits()`.
 
 /// Base (bimodal) prediction entries of the paper-scale TAGE.
 pub const PAPER_BASE_ENTRIES: usize = 8192;

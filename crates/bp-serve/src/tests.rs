@@ -78,7 +78,7 @@ fn config_validation_rejects_degenerate_values() {
 #[test]
 fn routing_is_pure_and_covers_all_shards() {
     let engine = ServeEngine::new(test_config()).expect("valid config");
-    let mut hit = vec![false; 4];
+    let mut hit = [false; 4];
     for hw in 0..2u8 {
         for asid in 1..64u16 {
             let s = engine.route(HwThreadId::new(hw), Asid::new(asid));

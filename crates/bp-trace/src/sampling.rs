@@ -768,7 +768,7 @@ mod tests {
                 out.push(BranchRecord::conditional(
                     pc,
                     Addr::new(base + 0x1000),
-                    i % 3 == 0,
+                    i.is_multiple_of(3),
                     9,
                 ));
                 inst += 10;
