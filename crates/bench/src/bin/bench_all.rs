@@ -1,14 +1,18 @@
-//! `bench_all`: run the entire experiment suite — every table, figure and
-//! security campaign — in one process with a shared worker pool and a
-//! shared on-disk model cache, then print a per-experiment wall-clock
-//! table. The run journal, `results/run_report.json`, is the suite's one
-//! report: per-experiment status and seconds, cache counters, and the
-//! suite's `total_seconds`.
+//! `bench_all`: the one entry point of every experiment — each table,
+//! figure and security campaign in [`bench::experiments::all`]. By default
+//! it runs the entire suite; `--only <name>[,<name>...]` selects
+//! experiments by registry name (unknown names are a usage error listing
+//! the valid ones). Everything selected runs in one process with a shared
+//! worker pool and a shared on-disk model cache, then the driver prints a
+//! per-experiment wall-clock table. The run journal,
+//! `results/run_report.json`, is the suite's one report: per-experiment
+//! status and seconds, cache counters, and the suite's `total_seconds`.
 //!
-//! Experiments run one after another (each is internally parallel across
-//! its sweep grid, which is where the work is), so stdout stays readable
-//! and CSVs are byte-identical to the standalone binaries at any
-//! `--threads` value. The suite is crash-safe and self-describing:
+//! Experiments run one after another, in registry order whatever order
+//! `--only` names them in (each is internally parallel across its sweep
+//! grid, which is where the work is), so stdout stays readable and CSVs
+//! are byte-identical for any selection and at any `--threads` value. The
+//! suite is crash-safe and self-describing:
 //!
 //! * every experiment runs under `catch_unwind` and (optionally) a
 //!   `--deadline-secs` watchdog, so one wedged or panicking experiment
@@ -33,8 +37,8 @@
 //! telemetry summaries. Capture disables the model cache so every point
 //! actually simulates and the export is deterministic at any `--threads`.
 //!
-//! Usage: `bench_all [--scale quick|default|full] [--threads N]
-//! [--no-cache] [--telemetry DIR] [--resume] [--deadline-secs N]`
+//! Usage: `bench_all [--only NAME,...] [OPTIONS]`; [`bench::cli`] documents
+//! every option.
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,11 +50,6 @@ use std::time::{Duration, Instant};
 use bench::cache::CacheStats;
 use bench::{cli, experiments, Ctx, SweepReport};
 use bp_common::telemetry::parse_jsonl_line;
-
-/// Option summary for the suite driver (the shared options plus the
-/// suite-only ones).
-const SUITE_USAGE: &str = "options: [--scale quick|default|full] [--threads N] [--no-cache] \
-     [--telemetry DIR] [--resume] [--deadline-secs N]";
 
 /// Journal location, relative to the working directory.
 const REPORT_PATH: &str = "results/run_report.json";
@@ -128,69 +127,28 @@ impl Outcome {
     }
 }
 
-/// Suite-only options, stripped from argv before the shared parser runs.
-struct SuiteOptions {
-    resume: bool,
-    deadline: Option<Duration>,
-}
-
-/// Splits argv into suite-only options and the remainder for
-/// [`cli::parse`].
-fn split_args(args: &[String]) -> Result<(SuiteOptions, Vec<String>), String> {
-    let mut resume = false;
-    let mut deadline = None;
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--resume" => {
-                resume = true;
-                i += 1;
-            }
-            "--deadline-secs" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--deadline-secs needs a value; {SUITE_USAGE}"))?;
-                let secs = v.parse::<u64>().ok().filter(|&s| s >= 1).ok_or_else(|| {
-                    format!("invalid deadline '{v}': expected a positive whole number of seconds")
-                })?;
-                deadline = Some(Duration::from_secs(secs));
-                i += 2;
-            }
-            other => {
-                rest.push(other.to_string());
-                i += 1;
-            }
-        }
-    }
-    Ok((SuiteOptions { resume, deadline }, rest))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (suite, rest) = match split_args(&args) {
-        Ok(v) => v,
+    let opts = match cli::parse(&args) {
+        Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
     };
-    let opts = match cli::parse(&rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}; suite {SUITE_USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let exps: Vec<_> = experiments::all()
+        .into_iter()
+        .filter(|e| opts.only.as_ref().is_none_or(|only| only.contains(&e.name)))
+        .collect();
+    let (resume, deadline) = (opts.resume, opts.deadline);
     let ctx = Arc::new(Ctx::from_options(opts));
-    let exps = experiments::all();
-    let prior_report = if suite.resume {
+    let prior_report = if resume {
         std::fs::read_to_string(REPORT_PATH).ok()
     } else {
         None
     };
     println!(
-        "bench_all: {} experiments, scale {}, {} worker thread(s), cache {}{}{}",
+        "bench_all: {} experiment(s), scale {}, {} worker thread(s), cache {}{}{}",
         exps.len(),
         ctx.scale.name(),
         ctx.pool.threads(),
@@ -199,11 +157,11 @@ fn main() {
         } else {
             "off (--no-cache)"
         },
-        match suite.deadline {
+        match deadline {
             Some(d) => format!(", deadline {}s/experiment", d.as_secs()),
             None => String::new(),
         },
-        if suite.resume {
+        if resume {
             if prior_report.is_some() {
                 ", resuming from results/run_report.json"
             } else {
@@ -253,7 +211,7 @@ fn main() {
         let _ = ctx.supervisor.drain();
         let cache_before = ctx.cache.stats();
         let start = Instant::now();
-        let result = run_guarded(&ctx, exp.run, suite.deadline);
+        let result = run_guarded(&ctx, exp.run, deadline);
         let seconds = start.elapsed().as_secs_f64();
         let sweeps = ctx.supervisor.drain();
         let lost: usize = sweeps.iter().map(SweepReport::lost).sum();
@@ -274,7 +232,7 @@ fn main() {
                 Status::Deadline,
                 Some(format!(
                     "exceeded the {}s deadline; worker thread abandoned",
-                    suite.deadline.map(|d| d.as_secs()).unwrap_or(0)
+                    deadline.map(|d| d.as_secs()).unwrap_or(0)
                 )),
             ),
         };

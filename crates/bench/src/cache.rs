@@ -1,13 +1,13 @@
 //! Content-addressed on-disk cache for simulation-derived model points.
 //!
-//! Every experiment binary re-derives the same `(mechanism, benchmark,
-//! scale)` overhead models and throughput points from scratch; a full
+//! Every experiment re-derives the same `(mechanism, benchmark, scale)`
+//! overhead models and throughput points from scratch; a full
 //! suite run repeats the expensive baseline simulations up to fifteen
 //! times. This cache stores each derived point under a stable hash of
 //! everything that determines it — the mechanism (including its full
 //! embedded configuration), the benchmark, the scale, the exact
 //! [`SimConfig`]-level parameters, and a code-version salt — so a point
-//! computed once (by any binary, on any thread) is reused everywhere.
+//! computed once (by any experiment, on any thread) is reused everywhere.
 //!
 //! # Correctness contract
 //!
@@ -36,8 +36,8 @@ const MAGIC: &str = "hybp-model-cache v1";
 /// alter any cached number.
 pub const CODE_SALT: &str = "hybp-sim-2026-08-pr2";
 
-/// Default on-disk location, relative to the workspace root (the bench
-/// binaries all run from there, like the `results/*.csv` writers).
+/// Default on-disk location, relative to the workspace root (`bench_all`
+/// runs from there, like the `results/*.csv` writers).
 pub const DEFAULT_DIR: &str = "results/cache";
 
 /// FNV-1a 64-bit over `bytes`; stable across platforms and runs.

@@ -1,13 +1,19 @@
-//! Shared command-line handling and run context for the experiment
-//! binaries.
+//! Command-line handling for `bench_all`, the one entry point of every
+//! experiment, and the run context each experiment body receives.
 //!
-//! Every binary accepts the same options:
+//! Options:
 //!
+//! * `--only NAME[,NAME...]` — run only the named experiments of
+//!   [`experiments::all`] (default: the whole suite). They run in registry
+//!   order whatever order they are given in, so cache seeding is unchanged.
 //! * `--scale quick|default|full` — run-length preset ([`Scale`]),
 //! * `--threads N` — worker count for the parallel sweeps (default: the
 //!   `HYBP_THREADS` environment variable, else
 //!   [`std::thread::available_parallelism`]),
 //! * `--no-cache` — bypass the on-disk model cache entirely,
+//! * `--resume` — skip experiments the previous run report recorded as
+//!   clean whose CSV is still intact,
+//! * `--deadline-secs N` — abandon any one experiment after `N` seconds,
 //! * `--telemetry DIR` — export one sorted telemetry JSONL file per
 //!   experiment into `DIR`. Capture implies `--no-cache`: a cached point
 //!   runs no simulation and would emit no events, so serving from disk
@@ -37,6 +43,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use bp_common::pool::{FailMode, Pool, RetryPolicy, TaskError};
 use bp_faults::points::{PointDisposition, PointFaultPlan};
@@ -46,22 +53,30 @@ use bp_workloads::profile::SpecBenchmark;
 use crate::cache::ModelCache;
 use crate::supervise::{PointFailure, Supervisor, SweepReport};
 use crate::telemetry::TelemetryHub;
-use crate::{Csv, ExpResult, Scale};
+use crate::{experiments, Csv, ExpResult, Scale};
 
 /// Option summary printed with every usage error.
-pub const USAGE: &str = "options: [--scale quick|default|full] [--threads N] [--no-cache] \
-     [--telemetry DIR] [--trace-dir DIR] [--trace-mode strict|lenient] [--benches a,b,...] \
+pub const USAGE: &str = "options: [--only NAME,...] [--scale quick|default|full] [--threads N] \
+     [--no-cache] [--resume] [--deadline-secs N] [--telemetry DIR] [--trace-dir DIR] \
+     [--trace-mode strict|lenient] [--benches a,b,...] \
      [--sample k=K,window=W,dims=D,warmup=U,seed=S,iters=I]";
 
 /// Parsed command-line options, before any pool/cache is constructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliOptions {
+    /// Experiments selected by `--only`, in registry order; `None` runs
+    /// the whole suite.
+    pub only: Option<Vec<&'static str>>,
     /// Run-length preset.
     pub scale: Scale,
     /// Worker count (≥ 1, already resolved against the environment).
     pub threads: usize,
     /// Whether `--no-cache` was given.
     pub no_cache: bool,
+    /// Whether `--resume` was given.
+    pub resume: bool,
+    /// Per-experiment watchdog (`--deadline-secs`), if any.
+    pub deadline: Option<Duration>,
     /// Telemetry JSONL export directory (`--telemetry DIR`), if any.
     pub telemetry: Option<PathBuf>,
     /// Trace replay directory (`--trace-dir DIR`), if any.
@@ -74,38 +89,57 @@ pub struct CliOptions {
     pub sample: Option<SamplingSpec>,
 }
 
+/// Parses a comma-separated list, each name strictly against `choices`
+/// ([`bp_common::parse::one_of`]), in the order given.
+fn parse_list<T: Copy>(
+    flag: &str,
+    what: &str,
+    v: &str,
+    choices: &[(&str, T)],
+) -> Result<Vec<T>, String> {
+    let out = v
+        .split(',')
+        .map(str::trim)
+        .filter(|p| !p.is_empty())
+        .map(|p| bp_common::parse::one_of(what, p, choices))
+        .collect::<Result<Vec<T>, String>>()?;
+    if out.is_empty() {
+        let names: Vec<&str> = choices.iter().map(|(n, _)| *n).collect();
+        return Err(format!(
+            "{flag} needs at least one name; valid names are {}",
+            names.join(", ")
+        ));
+    }
+    Ok(out)
+}
+
 /// Parses a `--benches` value: comma-separated benchmark names.
 ///
 /// # Errors
 ///
 /// Rejects an empty list or any unknown name, listing what is valid.
 pub fn parse_benches(v: &str) -> Result<Vec<SpecBenchmark>, String> {
-    let valid = || {
-        SpecBenchmark::ALL
-            .iter()
-            .map(|b| b.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let mut out = Vec::new();
-    for part in v.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-        match SpecBenchmark::ALL.iter().find(|b| b.name() == part) {
-            Some(b) => out.push(*b),
-            None => {
-                return Err(format!(
-                    "unknown benchmark '{part}': valid names are {}",
-                    valid()
-                ))
-            }
-        }
-    }
-    if out.is_empty() {
-        return Err(format!(
-            "--benches needs at least one name; valid names are {}",
-            valid()
-        ));
-    }
-    Ok(out)
+    let choices = SpecBenchmark::ALL.map(|b| (b.name(), b));
+    parse_list("--benches", "benchmark", v, &choices)
+}
+
+/// Parses an `--only` value: comma-separated experiment names, returned in
+/// registry order ([`experiments::all`]) whatever order they were given in.
+///
+/// # Errors
+///
+/// Rejects an empty list or any unknown name, listing every experiment.
+pub fn parse_only(v: &str) -> Result<Vec<&'static str>, String> {
+    let choices: Vec<(&str, &'static str)> = experiments::all()
+        .iter()
+        .map(|e| (e.name, e.name))
+        .collect();
+    let picked = parse_list("--only", "experiment", v, &choices)?;
+    Ok(choices
+        .into_iter()
+        .map(|(_, name)| name)
+        .filter(|name| picked.contains(name))
+        .collect())
 }
 
 /// Parses a `--threads`/`HYBP_THREADS` value.
@@ -129,77 +163,47 @@ fn threads_from_env() -> Result<usize, String> {
     }
 }
 
-/// Parses the shared options from `args` (argv without the program name).
+/// Parses `bench_all`'s options from `args` (argv without the program
+/// name).
 ///
 /// # Errors
 ///
 /// Returns a usage message on any unknown option, missing value, unknown
-/// scale, or non-positive thread count.
+/// experiment or scale, or non-positive thread count or deadline.
 pub fn parse(args: &[String]) -> Result<CliOptions, String> {
+    let mut only: Option<Vec<&'static str>> = None;
     let mut scale = Scale::Default;
     let mut threads: Option<usize> = None;
     let mut no_cache = false;
+    let mut resume = false;
+    let mut deadline: Option<Duration> = None;
     let mut telemetry: Option<PathBuf> = None;
     let mut trace_dir: Option<PathBuf> = None;
     let mut trace_mode: Option<ReadMode> = None;
     let mut benches: Option<Vec<SpecBenchmark>> = None;
     let mut sample: Option<SamplingSpec> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace-dir" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--trace-dir needs a directory; {USAGE}"))?;
-                trace_dir = Some(PathBuf::from(v));
-                i += 2;
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value; {USAGE}"))
+        };
+        match flag.as_str() {
+            "--only" => only = Some(parse_only(value()?)?),
+            "--scale" => scale = Scale::parse(value()?)?,
+            "--threads" => threads = Some(parse_threads(value()?)?),
+            "--no-cache" => no_cache = true,
+            "--resume" => resume = true,
+            "--deadline-secs" => {
+                let secs = bp_common::parse::positive("deadline", value()?)?;
+                deadline = Some(Duration::from_secs(secs));
             }
-            "--trace-mode" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--trace-mode needs a value; {USAGE}"))?;
-                trace_mode = Some(ReadMode::parse(v)?);
-                i += 2;
-            }
-            "--benches" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--benches needs a list; {USAGE}"))?;
-                benches = Some(parse_benches(v)?);
-                i += 2;
-            }
-            "--sample" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--sample needs a spec; {USAGE}"))?;
-                sample = Some(SamplingSpec::parse(v)?);
-                i += 2;
-            }
-            "--scale" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--scale needs a value; {USAGE}"))?;
-                scale = Scale::parse(v)?;
-                i += 2;
-            }
-            "--threads" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--threads needs a value; {USAGE}"))?;
-                threads = Some(parse_threads(v)?);
-                i += 2;
-            }
-            "--no-cache" => {
-                no_cache = true;
-                i += 1;
-            }
-            "--telemetry" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--telemetry needs a directory; {USAGE}"))?;
-                telemetry = Some(PathBuf::from(v));
-                i += 2;
-            }
+            "--telemetry" => telemetry = Some(PathBuf::from(value()?)),
+            "--trace-dir" => trace_dir = Some(PathBuf::from(value()?)),
+            "--trace-mode" => trace_mode = Some(ReadMode::parse(value()?)?),
+            "--benches" => benches = Some(parse_benches(value()?)?),
+            "--sample" => sample = Some(SamplingSpec::parse(value()?)?),
             other => return Err(format!("unknown option '{other}'; {USAGE}")),
         }
     }
@@ -218,9 +222,12 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
         ));
     }
     Ok(CliOptions {
+        only,
         scale,
         threads,
         no_cache,
+        resume,
+        deadline,
         telemetry,
         trace_dir,
         trace_mode: trace_mode.unwrap_or_default(),
@@ -327,12 +334,6 @@ impl Ctx {
         self
     }
 
-    /// Replaces the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Ctx {
-        self.retry = retry;
-        self
-    }
-
     /// Enables telemetry capture, flushing one JSONL file per experiment
     /// into `dir`. Callers who also hold a cache must disable it — see the
     /// module docs ([`Ctx::from_options`] enforces this for the CLI path).
@@ -392,25 +393,6 @@ impl Ctx {
             ctx = ctx.with_bench_subset(benches);
         }
         ctx
-    }
-
-    /// A context from the process arguments; usage errors are fatal
-    /// (exit code 2).
-    pub fn from_cli() -> Ctx {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match parse(&args) {
-            Ok(opts) => Ctx::from_options(opts),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// A serial, cache-disabled context — what tests and library callers
-    /// use when they want the plain deterministic path.
-    pub fn serial_uncached(scale: Scale) -> Ctx {
-        Ctx::custom(scale, Pool::serial(), ModelCache::standard(false))
     }
 
     /// Runs one supervised sweep: `f` over `items` in input order,
@@ -481,16 +463,6 @@ impl Ctx {
             failures,
         });
         out
-    }
-
-    /// [`Ctx::sweep`] over an index range.
-    pub fn sweep_indices<R, F>(&self, label: &str, count: usize, f: F) -> Vec<Option<R>>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let indices: Vec<usize> = (0..count).collect();
-        self.sweep(label, &indices, |&i| f(i))
     }
 
     /// A CSV accumulator rooted at the context's results directory.
@@ -596,16 +568,6 @@ impl Ctx {
     }
 }
 
-/// Standard `main` body for a single-experiment binary: build the context
-/// from argv, run the experiment, exit non-zero on failure.
-pub fn exp_main(run: fn(&Ctx) -> ExpResult) {
-    let ctx = Ctx::from_cli();
-    if let Err(e) = run(&ctx) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,6 +605,49 @@ mod tests {
         assert!(parse(&s(&["--scale"])).is_err());
         assert!(parse(&s(&["--threads"])).is_err());
         assert!(parse(&s(&["--telemetry"])).is_err());
+        assert!(parse(&s(&["--only"])).is_err());
+        assert!(parse(&s(&["--deadline-secs"])).is_err());
+    }
+
+    #[test]
+    fn only_keeps_registry_order() {
+        let o = parse(&s(&["--only", "fig5_hybp_per_app,table1_comparison"])).unwrap();
+        assert_eq!(
+            o.only,
+            Some(vec!["table1_comparison", "fig5_hybp_per_app"]),
+            "selection must run in registry order, not argv order"
+        );
+        assert_eq!(parse(&[]).unwrap().only, None);
+    }
+
+    #[test]
+    fn only_rejects_unknown_and_empty_names_listing_every_experiment() {
+        for bad in ["nope", "fig5_hybp_per_app,nope", "", ","] {
+            let e = parse(&s(&["--only", bad])).unwrap_err();
+            for exp in experiments::all() {
+                assert!(e.contains(exp.name), "{bad:?}: {e}");
+            }
+        }
+        assert!(parse(&s(&["--only", "nope"]))
+            .unwrap_err()
+            .contains("'nope'"));
+    }
+
+    #[test]
+    fn deadline_must_be_a_positive_integer() {
+        for bad in ["0", "x", "-1", "1.5"] {
+            let e = parse(&s(&["--deadline-secs", bad])).unwrap_err();
+            assert!(e.contains(&format!("'{bad}'")), "{e}");
+        }
+        let o = parse(&s(&["--deadline-secs", "1200"])).unwrap();
+        assert_eq!(o.deadline, Some(Duration::from_secs(1200)));
+        assert_eq!(parse(&[]).unwrap().deadline, None);
+    }
+
+    #[test]
+    fn resume_is_parsed() {
+        assert!(parse(&s(&["--resume", "--scale", "quick"])).unwrap().resume);
+        assert!(!parse(&[]).unwrap().resume);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Every paper experiment as a callable library function.
 //!
-//! Each submodule holds the body of one experiment binary
-//! (`crates/bench/src/bin/` keeps a thin `main` per experiment for
-//! direct invocation); the [`all`] registry is what the `bench_all`
-//! driver iterates so the whole suite runs in one process with a shared
-//! worker pool and a shared model cache.
+//! Each submodule holds the body of one experiment; the [`all`] registry
+//! is what `bench_all`, the one entry point, iterates — the whole suite by
+//! default, or the experiments `--only` names — so everything runs in one
+//! process with a shared worker pool and a shared model cache.
 //!
 //! Every body follows the same determinism discipline: the sweep grid is
 //! fanned out with the context's order-preserving
@@ -33,7 +32,7 @@ use crate::{Ctx, ExpResult};
 
 /// One registered experiment.
 pub struct Experiment {
-    /// Binary / registry name.
+    /// Registry name (what `bench_all --only` selects).
     pub name: &'static str,
     /// CSV the experiment must produce under `results/`, when it has one.
     pub csv: Option<&'static str>,
@@ -41,10 +40,10 @@ pub struct Experiment {
     pub run: fn(&Ctx) -> ExpResult,
 }
 
-/// The full suite, in the order `bench_all` runs it. Cheap experiments
-/// that seed the cache with widely shared points (baseline models,
-/// no-switch IPCs) come first so later experiments hit warm entries even
-/// on a cold cache.
+/// The full suite, in the order `bench_all` runs it (an `--only`
+/// selection keeps this order). Cheap experiments that seed the cache
+/// with widely shared points (baseline models, no-switch IPCs) come first
+/// so later experiments hit warm entries even on a cold cache.
 pub fn all() -> Vec<Experiment> {
     vec![
         Experiment {

@@ -12,7 +12,7 @@ use hybp::Mechanism;
 
 /// SMT throughput under `mech` across all Table V mixes (no-switch runs;
 /// context-switch effects at 16M are folded in via the single-thread model
-/// which the fig5/fig6 binaries quantify — at 16M they are < 1% for every
+/// which the fig5/fig6 experiments quantify — at 16M they are < 1% for every
 /// mechanism except via their fixed parts, which these runs capture).
 /// The per-mix runs fan out as one supervised sweep; `None` when every
 /// mix point was lost.

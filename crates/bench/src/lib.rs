@@ -1,6 +1,7 @@
 //! Experiment harness for regenerating every table and figure of the HyBP
-//! paper. One binary per experiment lives in `src/bin/`; this library holds
-//! the shared measurement machinery.
+//! paper. Every experiment is a registered body in [`experiments`], run
+//! through the one `bench_all` entry point (`bench_all --only <name>` for a
+//! single one); this library holds the shared measurement machinery.
 //!
 //! # Measurement strategy (see `DESIGN.md` §8 and `EXPERIMENTS.md`)
 //!
@@ -40,7 +41,7 @@ pub mod supervise;
 pub mod telemetry;
 
 pub use cache::{CacheKey, ModelCache};
-pub use cli::{exp_main, Ctx};
+pub use cli::Ctx;
 pub use supervise::{PointFailure, Supervisor, SweepReport};
 pub use telemetry::{FlushSummary, TelemetryHub};
 
@@ -169,26 +170,6 @@ impl Scale {
         }
     }
 
-    /// Parses `--scale <v>` from argv, defaulting to [`Scale::Default`]
-    /// when the flag is absent. An unknown value is a fatal usage error
-    /// (exit code 2), not a silent fallback.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            if args[i] == "--scale" {
-                let v = args.get(i + 1).map(String::as_str).unwrap_or("");
-                match Scale::parse(v) {
-                    Ok(s) => return s,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-        }
-        Scale::Default
-    }
-
     /// Instructions measured per no-switch (fixed-part) run. Must span
     /// several kernel-timer intervals (the interval-independent privilege
     /// flushes are part of the fixed cost being measured).
@@ -278,18 +259,9 @@ impl OverheadModel {
 }
 
 /// Measures the overhead model for a single-thread run of `bench` under
-/// `mechanism`.
-pub fn single_thread_model(
-    mechanism: Mechanism,
-    bench: SpecBenchmark,
-    scale: Scale,
-) -> OverheadModel {
-    single_thread_model_observed(mechanism, bench, scale, &Telemetry::disabled(), None)
-}
-
-/// [`single_thread_model`] with both underlying runs observed by
-/// `telemetry` (what the cached harness path uses, so span events survive
-/// into the suite's JSONL export) and optionally replayed from `trace`.
+/// `mechanism`, with both underlying runs observed by `telemetry` (so span
+/// events survive into the suite's JSONL export) and optionally replayed
+/// from `trace`.
 pub fn single_thread_model_observed(
     mechanism: Mechanism,
     bench: SpecBenchmark,
@@ -312,24 +284,6 @@ pub fn single_thread_model_observed(
     OverheadModel {
         ipc_fixed,
         per_switch_cycles,
-    }
-}
-
-/// IPC of `bench` under `mechanism` at `interval`: measured directly when
-/// the interval is small enough, modeled otherwise. Returns `(ipc, method)`.
-pub fn single_thread_ipc_at(
-    mechanism: Mechanism,
-    bench: SpecBenchmark,
-    interval: Cycle,
-    model: &OverheadModel,
-    scale: Scale,
-) -> (f64, &'static str) {
-    if interval <= CALIBRATION_INTERVAL {
-        let cfg = direct_config(scale, interval, 4, bench.profile().base_ipc);
-        let m = run_single(mechanism, bench, cfg, &Telemetry::disabled(), None);
-        (m.threads[0].ipc(), "direct")
-    } else {
-        (model.ipc_at(interval), "model")
     }
 }
 
@@ -356,9 +310,9 @@ fn sim_key(
         .with("cfg", format_args!("{cfg:?}"))
 }
 
-/// [`single_thread_model`] through the context's on-disk cache: the two
-/// model parameters are stored bit-exactly, so a warm run reproduces the
-/// cold run's numbers to the last bit.
+/// [`single_thread_model_observed`] through the context's on-disk cache:
+/// the two model parameters are stored bit-exactly, so a warm run
+/// reproduces the cold run's numbers to the last bit.
 pub fn model_cached(ctx: &Ctx, mechanism: Mechanism, bench: SpecBenchmark) -> OverheadModel {
     let cal_cfg = direct_config(
         ctx.scale,
@@ -397,9 +351,10 @@ pub fn model_cached(ctx: &Ctx, mechanism: Mechanism, bench: SpecBenchmark) -> Ov
     }
 }
 
-/// [`single_thread_ipc_at`] with direct-measurement points served from the
-/// context's cache (modeled points are free — they are pure arithmetic on
-/// the already-cached model).
+/// IPC of `bench` under `mechanism` at `interval`: measured directly when
+/// the interval is small enough, with the point served from the context's
+/// cache, and modeled otherwise (modeled points are free — they are pure
+/// arithmetic on the already-cached model). Returns `(ipc, method)`.
 pub fn ipc_at_cached(
     ctx: &Ctx,
     mechanism: Mechanism,
@@ -573,14 +528,9 @@ pub struct Csv {
 }
 
 impl Csv {
-    /// Creates a CSV under `results/` with a header row; the file is
-    /// written on [`Csv::finish`].
-    pub fn new(name: &str, header: &str) -> Csv {
-        Csv::at_dir("results", name, header)
-    }
-
-    /// Creates a CSV under an explicit directory (what [`Ctx::csv`] uses,
-    /// so tests can redirect output away from the tracked `results/`).
+    /// Creates a CSV with a header row under `dir` (what [`Ctx::csv`] uses,
+    /// so tests can redirect output away from the tracked `results/`); the
+    /// file is written on [`Csv::finish`].
     pub fn at_dir(dir: impl AsRef<Path>, name: &str, header: &str) -> Csv {
         let mut buf = String::new();
         let _ = writeln!(buf, "{header}");
@@ -677,11 +627,12 @@ mod tests {
 
     #[test]
     fn csv_writes_rows() {
-        let mut c = Csv::new("test_tmp.csv", "a,b");
+        let dir = std::env::temp_dir().join(format!("hybp-csv-{}", std::process::id()));
+        let mut c = Csv::at_dir(&dir, "test_tmp.csv", "a,b");
         c.row(format_args!("1,2"));
         let p = c.finish().unwrap();
         let s = std::fs::read_to_string(&p).unwrap();
         assert_eq!(s, "a,b\n1,2\n");
-        std::fs::remove_file(p).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

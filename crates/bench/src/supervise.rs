@@ -13,8 +13,8 @@
 //! * `bench_all` can journal exactly which points died, after how many
 //!   attempts, into `results/run_report.json`.
 //!
-//! Reports accumulate until [`Supervisor::drain`] — the suite driver
-//! drains once per experiment, standalone binaries once at exit.
+//! Reports accumulate until [`Supervisor::drain`] — `bench_all` drains
+//! once per experiment.
 
 use std::sync::Mutex;
 

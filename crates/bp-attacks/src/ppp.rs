@@ -196,16 +196,6 @@ fn test(
     probe(env, group, ways)
 }
 
-/// Public debug wrapper around the internal expectation statistic.
-pub fn expectation_difference_debug(
-    env: &mut AttackEnv,
-    group: &[usize],
-    ways: usize,
-    params: &PppParams,
-) -> f64 {
-    expectation_difference(env, group, ways, params)
-}
-
 /// Mean miss-difference between victim-with-x and victim-without-x over
 /// `repeats` samples (the expectation in lines 9/11).
 fn expectation_difference(
@@ -226,27 +216,6 @@ fn expectation_difference(
         without_x += test(env, group, ways, params, false);
     }
     (f64::from(with_x) - f64::from(without_x)) / f64::from(repeats)
-}
-
-/// Debug variant reporting the post-prune collection size.
-pub fn run_algorithm1_debug(env: &mut AttackEnv, params: &PppParams) -> (usize, PppRun) {
-    // Duplicated prune to observe intermediate state without polluting the
-    // main path; kept in sync with `run_algorithm1`.
-    let mut probe_env_subsets: Vec<usize> = (0..params.subsets).collect();
-    let (_s, ways) = env.l2_geometry();
-    prime(env, &probe_env_subsets, ways, params.filler_lines);
-    probe_env_subsets.retain(|&i| {
-        let mut misses = 0;
-        for j in 0..ways {
-            if env.attacker_access(line(i, j)).slow {
-                misses += 1;
-            }
-        }
-        misses <= 1
-    });
-    let n = probe_env_subsets.len();
-    let run = run_algorithm1(env, params);
-    (n, run)
 }
 
 /// Runs Algorithm 1 once. The victim's target branch is

@@ -1,7 +1,7 @@
 //! Strict CLI value parsing, shared by every flag that takes an
 //! enumerated or numeric value.
 //!
-//! Every experiment binary promises that a typo is a fatal usage error —
+//! Every harness binary promises that a typo is a fatal usage error —
 //! `--scale ful` must never silently run at a different scale, and
 //! `--trace-mode striict` must never silently pick a decode policy. That
 //! promise is only worth something if every flag enforces it the same
@@ -15,9 +15,10 @@
 //!   where an unknown key or malformed pair is fatal with the valid keys
 //!   listed.
 //!
-//! `Scale::parse`, `ReadMode::parse`, `--threads`, and the `--sample`
-//! spec all route through here, so their error messages stay textually
-//! consistent and the tests can pin one shape.
+//! `Scale::parse`, `ReadMode::parse`, `--threads`, `--deadline-secs`, the
+//! `--only`/`--benches` name lists and the `--sample` spec all route
+//! through here, so their error messages stay textually consistent and the
+//! tests can pin one shape.
 
 /// Parses an enumerated value against `choices` (name → value pairs).
 ///

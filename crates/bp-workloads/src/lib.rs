@@ -24,9 +24,7 @@
 pub mod generator;
 pub mod mixes;
 pub mod profile;
-pub mod trace;
 
 pub use generator::WorkloadGenerator;
 pub use mixes::{IlpClass, Mix, TABLE_V_MIXES};
 pub use profile::{BenchmarkProfile, SpecBenchmark};
-pub use trace::BranchTrace;
