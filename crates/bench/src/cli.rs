@@ -419,8 +419,11 @@ impl Ctx {
                 attempts_seen[i].fetch_max(attempt, Ordering::Relaxed);
                 match self.fault_points.disposition(label, i, attempt) {
                     PointDisposition::Proceed => Ok(f(item)),
+                    #[expect(
+                        clippy::panic,
+                        reason = "deliberate injected point fault used to exercise the supervised-sweep recovery path"
+                    )]
                     PointDisposition::Panic => {
-                        // bp-lint: allow(panic-freedom) reason="deliberate injected point fault used to exercise the supervised-sweep recovery path"
                         panic!("injected point fault: panic at {label}[{i}] attempt {attempt}")
                     }
                     PointDisposition::FatalError => Err(TaskError::fatal(format!(

@@ -50,14 +50,16 @@ pub fn run(ctx: &Ctx) -> ExpResult {
                 .with("cfg", format_args!("{:?}", no_switch_config(ctx.scale)));
             let upper_share = ctx.cache.get_or_compute_one(&key, || {
                 let sink = ctx.telemetry.sink();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "sweep boundary: configs here are built from validated presets, and a failed run is a programming error; the supervised sweep records either panic as a point failure"
+                )]
                 let m = Simulation::builder(mech, no_switch_config(ctx.scale))
                     .single_thread(SpecBenchmark::Xz)
                     .telemetry(sink.clone())
                     .build()
-                    // bp-lint: allow(panic-freedom) reason="sweep boundary: configs here are built from validated presets, and the supervised sweep records a panic as a point failure"
                     .expect("valid config")
                     .run()
-                    // bp-lint: allow(panic-freedom) reason="sweep boundary: a failed run is a programming error the supervised sweep records as a point failure"
                     .expect("simulation completes")
                     .bpu;
                 ctx.telemetry.absorb(&sink);

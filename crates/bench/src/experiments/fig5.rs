@@ -103,15 +103,15 @@ fn run_sampled(ctx: &Ctx, benches: &[SpecBenchmark]) -> ExpResult {
     // One point per benchmark: sample the stream once, replay both
     // mechanisms over the same representative windows.
     type SampledRow = (f64, f64, f64, u64, u64, f64);
+    #[expect(
+        clippy::panic,
+        reason = "sweep boundary: the supervised sweep records each of these as a point failure naming the stream"
+    )]
     let rows: Vec<Option<SampledRow>> = ctx.sweep("fig5:sampled", benches, |&bench| {
-        let plan = crate::phase_plan_for(ctx, bench, spec)
-            // bp-lint: allow(panic-freedom) reason="sweep boundary: the supervised sweep records this as a point failure naming the stream"
-            .unwrap_or_else(|e| panic!("{e}"));
+        let plan = crate::phase_plan_for(ctx, bench, spec).unwrap_or_else(|e| panic!("{e}"));
         let base = sampled_estimate(ctx, Mechanism::Baseline, bench, &plan)
-            // bp-lint: allow(panic-freedom) reason="sweep boundary: the supervised sweep records this as a point failure naming the stream"
             .unwrap_or_else(|e| panic!("{e}"));
         let hybp = sampled_estimate(ctx, Mechanism::hybp_default(), bench, &plan)
-            // bp-lint: allow(panic-freedom) reason="sweep boundary: the supervised sweep records this as a point failure naming the stream"
             .unwrap_or_else(|e| panic!("{e}"));
         (
             hybp.estimate.ipc() / base.estimate.ipc(),

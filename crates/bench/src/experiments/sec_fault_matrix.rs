@@ -114,15 +114,17 @@ fn run_one(
 ) -> (RunMetrics, FaultStats) {
     let injector = plan.map(FaultInjector::from_plan);
     let sink = ctx.telemetry.sink();
+    #[expect(
+        clippy::expect_used,
+        reason = "sweep boundary: configs here are built from validated presets, and a failed run is a programming error; the supervised sweep records either panic as a point failure"
+    )]
     let metrics = Simulation::builder(mech, cfg)
         .single_thread(BENCH)
         .fault_injector(injector.clone())
         .telemetry(sink.clone())
         .build()
-        // bp-lint: allow(panic-freedom) reason="sweep boundary: configs here are built from validated presets, and the supervised sweep records a panic as a point failure"
         .expect("valid config")
         .run()
-        // bp-lint: allow(panic-freedom) reason="sweep boundary: a failed run is a programming error the supervised sweep records as a point failure"
         .expect("simulation completes");
     ctx.telemetry.absorb(&sink);
     let stats = injector.map(|i| i.stats()).unwrap_or_default();

@@ -50,18 +50,20 @@ pub use telemetry::{FlushSummary, TelemetryHub};
 /// offset) instead of the builder's static [`bp_common::ConfigError`]
 /// text. Runs at the sweep boundary: the panic becomes a recorded point
 /// failure whose message carries the trace error.
+#[expect(
+    clippy::panic,
+    reason = "sweep boundary: the supervised sweep records this as a point failure naming the damaged chunk"
+)]
 fn preload_streams(store: &Arc<TraceStore>, seed: u64, threads: &[Vec<SpecBenchmark>]) {
     for (i, sw) in threads.iter().enumerate() {
         for (j, b) in sw.iter().enumerate() {
             let name = stream_name(i, j, *b);
             if let Err(e) = store.load(&name, stream_seed(seed, i, j)) {
-                // bp-lint: allow(panic-freedom) reason="sweep boundary: the supervised sweep records this as a point failure naming the damaged chunk"
                 panic!("trace replay {name}: {e}");
             }
         }
         let name = kernel_stream_name(i);
         if let Err(e) = store.load(&name, kernel_stream_seed(seed, i)) {
-            // bp-lint: allow(panic-freedom) reason="sweep boundary: the supervised sweep records this as a point failure naming the damaged chunk"
             panic!("trace replay {name}: {e}");
         }
     }
@@ -83,15 +85,17 @@ fn run_single(
     if let Some(store) = trace {
         preload_streams(store, cfg.seed, &[vec![bench, bench]]);
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "sweep boundary: configs here are built from validated presets, and a failed run is a programming error; the supervised sweep records either panic as a point failure"
+    )]
     Simulation::builder(mechanism, cfg)
         .single_thread(bench)
         .telemetry(telemetry.clone())
         .trace_store(trace.map(Arc::clone))
         .build()
-        // bp-lint: allow(panic-freedom) reason="sweep boundary: configs here are built from validated presets, and the supervised sweep records a panic as a point failure"
         .expect("valid config")
         .run()
-        // bp-lint: allow(panic-freedom) reason="sweep boundary: a failed run is a programming error the supervised sweep records as a point failure"
         .expect("simulation completes")
 }
 
@@ -111,15 +115,17 @@ fn run_smt_pair(
             &[vec![pair[0], pair[0]], vec![pair[1], pair[1]]],
         );
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "sweep boundary: configs here are built from validated presets, and a failed run is a programming error; the supervised sweep records either panic as a point failure"
+    )]
     Simulation::builder(mechanism, cfg)
         .smt(pair)
         .telemetry(telemetry.clone())
         .trace_store(trace.map(Arc::clone))
         .build()
-        // bp-lint: allow(panic-freedom) reason="sweep boundary: configs here are built from validated presets, and the supervised sweep records a panic as a point failure"
         .expect("valid config")
         .run()
-        // bp-lint: allow(panic-freedom) reason="sweep boundary: a failed run is a programming error the supervised sweep records as a point failure"
         .expect("simulation completes")
 }
 
@@ -132,9 +138,9 @@ pub type ExpResult = Result<(), Box<dyn std::error::Error + Send + Sync>>;
 /// Run-length preset, selectable with `--scale quick|default|full`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Fast smoke runs (CI-sized).
+    /// Fast smoke runs (CI-sized); every EXPERIMENTS.md number uses it.
     Quick,
-    /// The documented default (EXPERIMENTS.md numbers).
+    /// Longer measurement windows than `Quick`.
     Default,
     /// Long runs for tighter confidence.
     Full,

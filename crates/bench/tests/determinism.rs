@@ -3,6 +3,11 @@
 //! an experiment's CSV — and a cache round-trip (including through
 //! corruption) must reproduce cold-run values bit-exactly.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
+)]
+
 use bench::cache::{CacheKey, ModelCache};
 use bench::{model_cached, no_switch_config, no_switch_ipc_cached, Ctx, Scale};
 use bp_common::pool::Pool;

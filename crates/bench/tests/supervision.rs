@@ -2,6 +2,11 @@
 //! never the experiment; retries recover transient faults bit-exactly;
 //! partial CSVs are marked; and none of it perturbs a clean run.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
+)]
+
 use bench::cache::ModelCache;
 use bench::{Ctx, Scale};
 use bp_common::pool::{Pool, RetryPolicy};

@@ -41,7 +41,10 @@ impl AttackEnv {
     /// thread 0 (ASID 100), victim on hardware thread 1 (ASID 200), running
     /// concurrently.
     pub fn new(mechanism: Mechanism, seed: u64) -> Self {
-        // bp-lint: allow(panic-freedom) reason="attack points run under supervised sweeps: an invalid mechanism is a programming error surfaced as a recorded point failure, not an input"
+        #[expect(
+            clippy::expect_used,
+            reason = "attack points run under supervised sweeps: an invalid mechanism is a programming error surfaced as a recorded point failure, not an input"
+        )]
         let mut bpu = SecureBpu::new(mechanism, 2, seed).expect("attack env mechanisms are valid");
         let attacker = HwThreadId::new(0);
         let victim = HwThreadId::new(1);
@@ -64,7 +67,10 @@ impl AttackEnv {
     /// context switch the protection mechanisms react to.
     pub fn new_single_core(mechanism: Mechanism, seed: u64) -> Self {
         let hw = HwThreadId::new(0);
-        // bp-lint: allow(panic-freedom) reason="attack points run under supervised sweeps: an invalid mechanism is a programming error surfaced as a recorded point failure, not an input"
+        #[expect(
+            clippy::expect_used,
+            reason = "attack points run under supervised sweeps: an invalid mechanism is a programming error surfaced as a recorded point failure, not an input"
+        )]
         let mut bpu = SecureBpu::new(mechanism, 2, seed).expect("attack env mechanisms are valid");
         bpu.on_context_switch(hw, Asid::new(100), 0);
         AttackEnv {

@@ -461,9 +461,12 @@ impl Pool {
         slots
             .into_iter()
             .map(|slot| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Some by construction: the explicit joins above resume any worker panic before results are read, so every claimed slot was filled"
+                )]
                 slot.into_inner()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    // bp-lint: allow(panic-freedom) reason="Some by construction: the explicit joins above resume any worker panic before results are read, so every claimed slot was filled"
                     .expect("worker filled every claimed slot")
             })
             .collect()

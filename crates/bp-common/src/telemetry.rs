@@ -15,9 +15,10 @@
 //!   rests on.
 //! * [`Telemetry`] — a cheap, cloneable handle to an event sink. The
 //!   disabled handle is a `None` and every emission path is an inlined
-//!   early return: no allocation, no locking, no formatting. CI's
-//!   `telemetry-overhead` job pins this: a disabled-sink suite run stays
-//!   within 2% of a back-to-back baseline.
+//!   early return: no allocation, no locking, no formatting. The
+//!   simulation emits only rare-event spans (context switches, key
+//!   renewals), never one per branch; `tests/telemetry_invariants.rs`
+//!   pins that count.
 //! * [`Histogram`] — power-of-two bucketed value distribution for cheap
 //!   latency/size summaries.
 //! * [`TelemetrySnapshot`] and the [`Observable`] trait — the single

@@ -604,7 +604,8 @@ impl KeyManager {
         let entries = self.slots[slot].table().config().entries;
         let entry = bp_common::fast_mod_usize(pc_slice as usize, entries);
         // Borrow rather than clone: `faults` and `slots` are disjoint fields,
-        // and this runs once per predicted branch.
+        // and this runs once per randomized-table transform (about 30 per
+        // TAGE predict).
         if let Some(f) = &self.faults {
             let key_bits = self.slots[slot].table().config().key_bits;
             if let Some(bit) = f.on_key_read(slot, entry, key_bits, now) {

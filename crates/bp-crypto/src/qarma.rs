@@ -361,8 +361,10 @@ struct Schedule {
 }
 
 impl Schedule {
-    // Indexing C by the round counter matches the QARMA specification.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "indexing C by the round counter matches the QARMA specification"
+    )]
     fn build(
         rounds: usize,
         sbox: usize,

@@ -272,7 +272,6 @@ fn parse_num(entry: &str, field: &str) -> Result<u64, String> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -39,7 +39,6 @@
 //! assert_eq!(injector.stats().key_bit_flips, 5);
 //! ```
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(missing_docs)]
 
 pub mod bytes;

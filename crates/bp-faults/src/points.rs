@@ -333,7 +333,6 @@ fn parse_index(entry: &str, index: &str) -> Result<usize, String> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -1,28 +1,26 @@
 //! `bp-lint` — in-repo static analysis enforcing the reproduction's
-//! non-negotiable invariants.
+//! invariants that no compiler checks.
 //!
-//! The workspace's two headline guarantees rest on properties no compiler
-//! checks: **determinism** (byte-identical CSVs and telemetry JSONL at any
-//! thread count — so no wall clocks, no `RandomState` iteration order, no
-//! ambient env reads in result paths) and **secret-hygiene** (the QARMA
-//! code book and per-domain keys never reach a log, a `Debug` impl, or a
-//! secret-dependent branch). Two more keep the codebase honest at scale:
-//! **panic-freedom** in library code (completing the typed-error
-//! migration) and an **unsafe audit** (every `unsafe` justifies itself
-//! with `// SAFETY:`). This crate scans the workspace at the token level
-//! and enforces all four, with:
+//! The workspace's two headline guarantees rest on properties rustc and
+//! clippy cannot see: **determinism** (byte-identical CSVs and telemetry
+//! JSONL at any thread count — so no wall clocks, no `RandomState`
+//! iteration order, no ambient env reads in result paths) and
+//! **secret-hygiene** (the QARMA code book and per-domain keys never reach
+//! a log, a `Debug` impl, or a secret-dependent branch). The serve rules
+//! keep the shard hot path lock-free and lock order consistent. Panic
+//! freedom and the `unsafe` ban are not here: the root `Cargo.toml`'s
+//! `[workspace.lints]` hands them to clippy and rustc. This crate scans
+//! the workspace at the token level, with:
 //!
 //! * inline waivers — `// bp-lint: allow(<rule>) reason="..."` — that are
 //!   themselves linted (unknown rule, empty reason, or suppressing
 //!   nothing ⇒ `waiver-hygiene` finding);
-//! * a checked-in, shrink-only baseline for grandfathered debt;
 //! * deterministic JSON / text reports (byte-identical across runs).
 //!
 //! Run it with `cargo run -p bp-lint`; see `DESIGN.md` §7 for the rule
 //! catalog and policy. The crate is std-only, like the rest of the
 //! workspace, and holds itself to its own rules (`tests/self_check.rs`).
 
-pub mod baseline;
 pub mod ir;
 pub mod lexer;
 pub mod report;
@@ -35,18 +33,15 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use baseline::Baseline;
 use report::{Report, Status};
 use rules::FileCtx;
 
-/// Fatal lint-tool errors (I/O, malformed baseline, bad usage). Rule
-/// violations are *findings*, not errors.
+/// Fatal lint-tool errors (I/O, bad usage). Rule violations are
+/// *findings*, not errors.
 #[derive(Debug)]
 pub enum LintError {
     /// Filesystem access failed.
     Io(String),
-    /// The baseline file exists but cannot be parsed.
-    Baseline(String),
     /// Bad command-line usage.
     Usage(String),
 }
@@ -55,7 +50,6 @@ impl fmt::Display for LintError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LintError::Io(m) => write!(f, "io error: {m}"),
-            LintError::Baseline(m) => write!(f, "baseline error: {m}"),
             LintError::Usage(m) => write!(f, "usage error: {m}"),
         }
     }
@@ -74,9 +68,6 @@ pub struct Config {
     /// Crates where the secret-hygiene rules apply (key material lives in
     /// or flows through them).
     pub secret_scope_crates: BTreeSet<String>,
-    /// Crates exempt from panic-freedom (none by default; the field
-    /// exists so fixture workspaces can carve out counter-examples).
-    pub panic_exempt_crates: BTreeSet<String>,
     /// Path suffixes of constant-time cipher internals, exempt from the
     /// `secret-taint-branch` rule (audited as a unit instead).
     pub cipher_internal_suffixes: Vec<String>,
@@ -120,7 +111,6 @@ impl Config {
                 "bp-predictors",
                 "hybp",
             ]),
-            panic_exempt_crates: BTreeSet::new(),
             cipher_internal_suffixes: vec![
                 "bp-crypto/src/qarma.rs".to_string(),
                 "bp-crypto/src/prince.rs".to_string(),
@@ -140,10 +130,9 @@ impl Config {
 
 /// Runs the full lint over the workspace at `config.root`.
 ///
-/// `baseline` grandfathered findings are marked [`Status::Baselined`];
-/// stale entries are recorded for the shrink-only check. The returned
-/// report is normalized (deterministically sorted) and ready to emit.
-pub fn run_lint(config: &Config, baseline: &Baseline) -> Result<Report, LintError> {
+/// The returned report is normalized (deterministically sorted) and ready
+/// to emit.
+pub fn run_lint(config: &Config) -> Result<Report, LintError> {
     let mut report = Report::default();
     let mut sequences: Vec<rules::serve::LockSeq> = Vec::new();
     let files = workspace_files(&config.root)?;
@@ -163,10 +152,6 @@ pub fn run_lint(config: &Config, baseline: &Baseline) -> Result<Report, LintErro
     report
         .findings
         .append(&mut rules::serve::finalize_lock_order(&sequences));
-    report.normalize();
-    baseline.apply(&mut report);
-    // Baselining happens after waiver resolution; re-sort in case stale
-    // entries were appended.
     report.normalize();
     Ok(report)
 }
@@ -211,7 +196,7 @@ pub fn scan_file_collect(
         config,
     };
     let mut findings = Vec::new();
-    rules::run_all(&ctx, &mut findings, &mut report.unsafe_inventory, sequences);
+    rules::run_all(&ctx, &mut findings, sequences);
 
     // Waiver resolution.
     let total_lines = src.lines().count() as u32;
@@ -320,13 +305,4 @@ fn sorted_dir(dir: &Path) -> Result<Vec<PathBuf>, LintError> {
     }
     entries.sort();
     Ok(entries)
-}
-
-/// Loads the baseline file, treating a missing file as empty.
-pub fn load_baseline(path: &Path) -> Result<Baseline, LintError> {
-    match fs::read_to_string(path) {
-        Ok(text) => Baseline::parse(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::default()),
-        Err(e) => Err(LintError::Io(format!("{}: {e}", path.display()))),
-    }
 }

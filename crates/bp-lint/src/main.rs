@@ -1,25 +1,20 @@
 //! `bp_lint` — the command-line front end.
 //!
 //! ```text
-//! bp_lint [--root DIR] [--format text|json] [--baseline FILE]
-//!         [--deny-new] [--write-baseline] [--list-rules]
+//! bp_lint [--root DIR] [--format text|json] [--list-rules]
 //! ```
 //!
-//! Exit codes: `0` clean (every finding fixed, waived, or baselined, and
-//! no stale baseline entries), `1` violations, `2` usage or I/O error.
-//! The default mode already denies new findings; `--deny-new` is the
-//! explicit spelling CI uses so intent is visible in the workflow file.
+//! Exit codes: `0` clean (every finding fixed or waived), `1` violations,
+//! `2` usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bp_lint::{load_baseline, run_lint, Config, LintError};
+use bp_lint::{run_lint, Config, LintError};
 
 struct Cli {
     root: Option<PathBuf>,
     format: String,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
     list_rules: bool,
 }
 
@@ -27,8 +22,6 @@ fn parse_args() -> Result<Cli, LintError> {
     let mut cli = Cli {
         root: None,
         format: "text".to_string(),
-        baseline: None,
-        write_baseline: false,
         list_rules: false,
     };
     let mut args = std::env::args().skip(1);
@@ -51,19 +44,10 @@ fn parse_args() -> Result<Cli, LintError> {
                 }
                 cli.format = v;
             }
-            "--baseline" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| LintError::Usage("--baseline needs a value".to_string()))?;
-                cli.baseline = Some(PathBuf::from(v));
-            }
-            // Default behavior; accepted so CI invocations self-document.
-            "--deny-new" => {}
-            "--write-baseline" => cli.write_baseline = true,
             "--list-rules" => cli.list_rules = true,
             other => {
                 return Err(LintError::Usage(format!(
-                    "unknown argument `{other}` (try --root, --format, --baseline, --deny-new, --write-baseline, --list-rules)"
+                    "unknown argument `{other}` (try --root, --format, --list-rules)"
                 )));
             }
         }
@@ -102,21 +86,7 @@ fn run() -> Result<ExitCode, LintError> {
         Some(r) => r,
         None => find_root()?,
     };
-    let baseline_path = cli
-        .baseline
-        .unwrap_or_else(|| root.join("bp-lint.baseline.json"));
-    let config = Config::workspace_default(&root);
-    let baseline = load_baseline(&baseline_path)?;
-    let report = run_lint(&config, &baseline)?;
-
-    if cli.write_baseline {
-        let text = bp_lint::baseline::Baseline::render_from(&report.findings);
-        std::fs::write(&baseline_path, &text)
-            .map_err(|e| LintError::Io(format!("{}: {e}", baseline_path.display())))?;
-        eprintln!("bp-lint: wrote baseline to {}", baseline_path.display());
-        return Ok(ExitCode::SUCCESS);
-    }
-
+    let report = run_lint(&Config::workspace_default(&root))?;
     match cli.format.as_str() {
         "json" => print!("{}", report.to_json()),
         _ => print!("{}", report.to_text()),

@@ -17,8 +17,6 @@ pub enum Status {
     Active,
     /// Suppressed by an inline `// bp-lint: allow(...)` waiver.
     Waived,
-    /// Grandfathered by the checked-in baseline file.
-    Baselined,
 }
 
 impl Status {
@@ -26,7 +24,6 @@ impl Status {
         match self {
             Status::Active => "active",
             Status::Waived => "waived",
-            Status::Baselined => "baselined",
         }
     }
 }
@@ -44,19 +41,8 @@ pub struct Finding {
     pub snippet: String,
     /// Human-readable explanation.
     pub message: String,
-    /// Disposition after waiver and baseline resolution.
+    /// Disposition after waiver resolution.
     pub status: Status,
-}
-
-/// One `unsafe` occurrence, compliant or not (the audit inventory).
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line of the `unsafe` keyword.
-    pub line: u32,
-    /// Whether an adjacent `// SAFETY:` comment justifies it.
-    pub has_safety: bool,
 }
 
 /// The complete result of a lint run.
@@ -64,23 +50,16 @@ pub struct UnsafeSite {
 pub struct Report {
     /// All findings, sorted by (file, line, rule, snippet).
     pub findings: Vec<Finding>,
-    /// Every `unsafe` keyword in the scanned tree.
-    pub unsafe_inventory: Vec<UnsafeSite>,
-    /// Baseline entries that matched nothing (shrink-only violation).
-    pub stale_baseline: Vec<String>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// Sorts all vectors into their canonical emission order.
+    /// Sorts the findings into their canonical emission order.
     pub fn normalize(&mut self) {
         self.findings.sort_by(|a, b| {
             (&a.file, a.line, a.rule, &a.snippet).cmp(&(&b.file, b.line, b.rule, &b.snippet))
         });
-        self.unsafe_inventory
-            .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-        self.stale_baseline.sort();
     }
 
     /// Count of findings with the given status.
@@ -88,10 +67,9 @@ impl Report {
         self.findings.iter().filter(|f| f.status == status).count()
     }
 
-    /// True when the run should exit 0: nothing active and no stale
-    /// baseline entries.
+    /// True when the run should exit 0: nothing active.
     pub fn is_clean(&self) -> bool {
-        self.count(Status::Active) == 0 && self.stale_baseline.is_empty()
+        self.count(Status::Active) == 0
     }
 
     /// Active-finding count per rule, sorted by rule id.
@@ -125,36 +103,12 @@ impl Report {
         if !self.findings.is_empty() {
             s.push('\n');
         }
-        s.push_str("  ],\n  \"unsafe_inventory\": [");
-        for (i, u) in self.unsafe_inventory.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                s,
-                "    {{\"file\": {}, \"line\": {}, \"has_safety\": {}}}",
-                json_str(&u.file),
-                u.line,
-                u.has_safety
-            );
-        }
-        if !self.unsafe_inventory.is_empty() {
-            s.push('\n');
-        }
-        s.push_str("  ],\n  \"stale_baseline\": [");
-        for (i, k) in self.stale_baseline.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(s, "    {}", json_str(k));
-        }
-        if !self.stale_baseline.is_empty() {
-            s.push('\n');
-        }
         s.push_str("  ],\n  \"summary\": {");
         let _ = write!(
             s,
-            "\n    \"active\": {}, \"waived\": {}, \"baselined\": {}, \"stale_baseline\": {},",
+            "\n    \"active\": {}, \"waived\": {},",
             self.count(Status::Active),
             self.count(Status::Waived),
-            self.count(Status::Baselined),
-            self.stale_baseline.len()
         );
         s.push_str("\n    \"active_per_rule\": {");
         let per = self.per_rule(Status::Active);
@@ -182,35 +136,19 @@ impl Report {
                 f.file, f.line, f.rule, f.message, f.snippet
             );
         }
-        for k in &self.stale_baseline {
-            let _ = writeln!(
-                s,
-                "baseline: stale entry `{k}` matches nothing — remove it (shrink-only policy)"
-            );
-        }
-        let unsound = self
-            .unsafe_inventory
-            .iter()
-            .filter(|u| !u.has_safety)
-            .count();
         let _ = writeln!(
             s,
-            "bp-lint: {} file(s), {} active, {} waived, {} baselined, {} stale baseline entr{}; unsafe inventory: {} site(s), {} missing SAFETY",
+            "bp-lint: {} file(s), {} active, {} waived",
             self.files_scanned,
             self.count(Status::Active),
             self.count(Status::Waived),
-            self.count(Status::Baselined),
-            self.stale_baseline.len(),
-            if self.stale_baseline.len() == 1 { "y" } else { "ies" },
-            self.unsafe_inventory.len(),
-            unsound,
         );
         s
     }
 }
 
 /// Escapes a string as a JSON string literal.
-pub fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -6,14 +6,12 @@
 //! workspaces that exercise every rule without touching the real tree.
 
 pub mod determinism;
-pub mod panic_freedom;
 pub mod secret;
 pub mod serve;
 pub mod taint;
-pub mod unsafe_audit;
 
 use crate::lexer::{Lexed, Tok, Token};
-use crate::report::{Finding, Status, UnsafeSite};
+use crate::report::{Finding, Status};
 use crate::scope::{FileClass, TestRanges};
 use crate::Config;
 
@@ -24,7 +22,6 @@ pub const ALL_RULES: &[&str] = &[
     "determinism-env",
     "determinism-thread-id",
     "determinism-time",
-    "panic-freedom",
     "secret-debug",
     "secret-taint-branch",
     "secret-taint-format",
@@ -32,7 +29,6 @@ pub const ALL_RULES: &[&str] = &[
     "secret-taint-store",
     "serve-hot-lock",
     "serve-lock-order",
-    "unsafe-audit",
     "waiver-hygiene",
 ];
 
@@ -80,24 +76,20 @@ impl FileCtx<'_> {
     }
 }
 
-/// Runs every per-file rule, appending findings and unsafe sites, and
-/// collecting lock sequences for the cross-file `serve-lock-order`
-/// finalize.
+/// Runs every per-file rule, appending findings and collecting lock
+/// sequences for the cross-file `serve-lock-order` finalize.
 ///
 /// The workspace-level pass, [`serve::finalize_lock_order`], runs from
 /// [`crate::run_lint`], not here.
 pub fn run_all(
     ctx: &FileCtx<'_>,
     findings: &mut Vec<Finding>,
-    inventory: &mut Vec<UnsafeSite>,
     sequences: &mut Vec<serve::LockSeq>,
 ) {
     determinism::run(ctx, findings);
     secret::run(ctx, findings);
     taint::run(ctx, findings);
     serve::run_collect(ctx, findings, sequences);
-    panic_freedom::run(ctx, findings);
-    unsafe_audit::run(ctx, findings, inventory);
 }
 
 /// True when `toks[i..]` starts with the given identifier.

@@ -1,12 +1,12 @@
 //! File classification and `#[cfg(test)]` region tracking.
 //!
-//! Every invariant `bp-lint` enforces has a *scope*: panic-freedom applies
-//! to library code but not to binaries or test modules; the determinism
-//! rules apply to simulation/result-producing crates but not to the lint
-//! tool itself. This module derives that scope from two things only — the
-//! file's path inside the workspace, and the `#[cfg(test)]` / `#[test]`
-//! attribute structure inside the file — so the classification is fully
-//! deterministic and needs no build-system integration.
+//! Every invariant `bp-lint` enforces has a *scope*: the determinism
+//! rules apply to library code of simulation/result-producing crates, but
+//! not to binaries, test modules or the lint tool itself. This module
+//! derives that scope from two things only — the file's path inside the
+//! workspace, and the `#[cfg(test)]` / `#[test]` attribute structure inside
+//! the file — so the classification is fully deterministic and needs no
+//! build-system integration.
 
 use crate::lexer::{Lexed, Tok};
 
@@ -33,7 +33,7 @@ pub struct FileClass {
 ///
 /// Returns `None` for paths `bp-lint` does not scan at all: integration
 /// tests, examples, and benches are test harness code where the library
-/// invariants (panic-freedom, determinism of result paths) intentionally
+/// invariants (determinism of result paths, secret hygiene) intentionally
 /// do not apply.
 pub fn classify(rel: &str) -> Option<FileClass> {
     let parts: Vec<&str> = rel.split('/').collect();

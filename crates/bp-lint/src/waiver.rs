@@ -1,8 +1,8 @@
 //! Waiver comments: the escape hatch, and the lint on the escape hatch.
 //!
 //! A rule violation that is *intentional* — the bench timing layer reading
-//! the wall clock, the fault injector panicking on purpose — is silenced
-//! with an inline waiver comment:
+//! the wall clock, an operator knob read from the environment — is
+//! silenced with an inline waiver comment:
 //!
 //! ```text
 //! // bp-lint: allow(determinism-time) reason="bench wall-clock table is a diagnostic, not a result"
@@ -161,14 +161,14 @@ mod tests {
 
     #[test]
     fn empty_reason_is_malformed() {
-        let src = "// bp-lint: allow(panic-freedom) reason=\"  \"\nx.unwrap();\n";
+        let src = "// bp-lint: allow(determinism-time) reason=\"  \"\nlet t = Instant::now();\n";
         let ws = extract(&lex(src), 2);
         assert!(ws[0].malformed.is_some());
     }
 
     #[test]
     fn missing_reason_is_malformed() {
-        let src = "// bp-lint: allow(panic-freedom)\nx.unwrap();\n";
+        let src = "// bp-lint: allow(determinism-time)\nlet t = Instant::now();\n";
         let ws = extract(&lex(src), 2);
         assert!(ws[0].malformed.is_some());
     }

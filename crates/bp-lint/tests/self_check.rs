@@ -1,10 +1,10 @@
-//! The lint runs clean on the workspace that ships it, and its machine
-//! output is byte-deterministic — the two properties CI's
-//! `lint-invariants` job relies on.
+//! The lint runs clean on the workspace that ships it, its machine output
+//! is byte-deterministic — the two properties CI's `lint-invariants` job
+//! relies on — and every package opts into the `[workspace.lints]` table
+//! that owns panic-freedom and the `unsafe` ban.
 
-use bp_lint::baseline::Baseline;
-use bp_lint::{load_baseline, run_lint, Config};
-use std::path::{Path, PathBuf};
+use bp_lint::{run_lint, Config};
+use std::path::PathBuf;
 
 /// Walks up from this crate's manifest dir to the workspace root.
 fn workspace_root() -> PathBuf {
@@ -23,11 +23,10 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_is_clean_under_checked_in_baseline() {
+fn workspace_is_clean() {
     let root = workspace_root();
     let config = Config::workspace_default(&root);
-    let baseline = load_baseline(&root.join("bp-lint.baseline.json")).expect("baseline parses");
-    let report = run_lint(&config, &baseline).expect("lint runs");
+    let report = run_lint(&config).expect("lint runs");
     let active: Vec<_> = report
         .findings
         .iter()
@@ -39,10 +38,6 @@ fn workspace_is_clean_under_checked_in_baseline() {
         report.to_text()
     );
     assert!(
-        report.stale_baseline.is_empty(),
-        "baseline must only shrink"
-    );
-    assert!(
         report.files_scanned > 50,
         "scanned {}",
         report.files_scanned
@@ -50,52 +45,40 @@ fn workspace_is_clean_under_checked_in_baseline() {
 }
 
 #[test]
-fn panic_freedom_and_secret_hygiene_carry_no_baseline_debt() {
-    // The checked-in baseline must stay empty for these rules: new debt is
-    // either fixed or waived with a reason, never grandfathered. The taint
-    // rules replaced the v1 lexical `secret-format`/`secret-branch` pair
-    // and inherit its no-debt policy; the workspace-level rule
-    // (serve-lock-order) is unwaivable *and* unbaselineable.
-    let root = workspace_root();
-    let text = std::fs::read_to_string(root.join("bp-lint.baseline.json")).expect("read baseline");
-    for rule in [
-        "panic-freedom",
-        "secret-debug",
-        "secret-taint-branch",
-        "secret-taint-format",
-        "secret-taint-index",
-        "secret-taint-store",
-        "serve-hot-lock",
-        "serve-lock-order",
-    ] {
-        assert!(
-            !text.contains(rule),
-            "baseline contains grandfathered `{rule}` debt"
-        );
-    }
-}
-
-#[test]
 fn json_report_is_byte_deterministic() {
     let root = workspace_root();
     let config = Config::workspace_default(&root);
-    let baseline = Baseline::default();
-    let a = run_lint(&config, &baseline).expect("first run").to_json();
-    let b = run_lint(&config, &baseline).expect("second run").to_json();
+    let a = run_lint(&config).expect("first run").to_json();
+    let b = run_lint(&config).expect("second run").to_json();
     assert_eq!(a, b, "JSON output must be byte-identical across runs");
     assert!(!a.contains("\\u0000"));
 }
 
+/// `[workspace.lints]` reaches only packages that opt in, so a package
+/// without `[lints] workspace = true` would silently escape the clippy
+/// panic lints and the `unsafe_code` ban.
 #[test]
-fn unsafe_inventory_is_empty_or_fully_justified() {
+fn every_manifest_opts_into_workspace_lints() {
     let root = workspace_root();
-    let config = Config::workspace_default(&root);
-    let report = run_lint(&config, &Baseline::default()).expect("lint runs");
-    for site in &report.unsafe_inventory {
+    let mut manifests = vec![root.join("Cargo.toml")];
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("read crates/")
+        .map(|e| e.expect("dir entry").path().join("Cargo.toml"))
+        .filter(|m| m.is_file())
+        .collect();
+    crates.sort();
+    assert!(crates.len() >= 12, "found {} crate manifests", crates.len());
+    manifests.append(&mut crates);
+    for manifest in &manifests {
+        let text = std::fs::read_to_string(manifest).expect("read manifest");
+        let opted_in = text
+            .split("\n[")
+            .filter_map(|section| section.strip_prefix("lints]"))
+            .any(|body| body.lines().any(|l| l.replace(' ', "") == "workspace=true"));
         assert!(
-            site.has_safety,
-            "unsafe block without SAFETY comment at {}:{}",
-            site.file, site.line
+            opted_in,
+            "{} lacks `[lints]` with `workspace = true`",
+            manifest.display()
         );
     }
 }
@@ -114,18 +97,17 @@ fn injected_violation_is_caught() {
     .expect("write manifest");
     std::fs::write(
         src_dir.join("lib.rs"),
-        "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
+        "pub fn f() -> usize {\n    std::collections::HashSet::<u32>::new().len()\n}\n",
     )
     .expect("write fixture");
 
     let config = Config::workspace_default(&dir);
-    let report = run_lint(&config, &Baseline::default()).expect("lint runs");
-    assert!(!report.is_clean(), "injected unwrap must be a finding");
+    let report = run_lint(&config).expect("lint runs");
+    assert!(!report.is_clean(), "injected HashSet must be a finding");
     assert!(report
         .findings
         .iter()
-        .any(|f| f.rule == "panic-freedom" && f.file == "crates/bp-common/src/lib.rs"));
+        .any(|f| f.rule == "determinism-collections" && f.file == "crates/bp-common/src/lib.rs"));
 
     std::fs::remove_dir_all(&dir).ok();
-    let _ = Path::new("unused");
 }

@@ -1,5 +1,10 @@
 //! Behavioural tests for the cycle-level core model.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
+)]
+
 use bp_pipeline::{CoreConfig, RunMetrics, SimConfig, Simulation};
 use bp_workloads::profile::SpecBenchmark;
 use hybp::Mechanism;

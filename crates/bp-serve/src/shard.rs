@@ -266,8 +266,11 @@ pub(crate) fn run_shard(
         // Supervision boundary. AssertUnwindSafe is sound because a caught
         // panic discards `live` wholesale and rebuilds it from the journal.
         let served = catch_unwind(AssertUnwindSafe(|| {
+            #[expect(
+                clippy::panic,
+                reason = "fault injection: this panic exists to exercise the supervision boundary below and is caught by it"
+            )]
             if panic_armed {
-                // bp-lint: allow(panic-freedom) reason="fault injection: this panic exists to exercise the supervision boundary below and is caught by it"
                 panic!("injected shard-panic (shard {shard}, dequeue {deq})");
             }
             live.apply(&entry)

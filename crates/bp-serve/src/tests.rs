@@ -49,7 +49,6 @@ fn tmpdir(tag: &str) -> PathBuf {
         std::process::id(),
         SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
-    // bp-lint: allow(panic-freedom) reason="cfg(test)-only helper in a standalone test file: a failed tmpdir create must abort the test"
     std::fs::create_dir_all(&dir).expect("create tmpdir");
     dir
 }

@@ -54,7 +54,6 @@
 //! assert!(health.is_clean());
 //! ```
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(missing_docs)]
 
 use std::fmt;

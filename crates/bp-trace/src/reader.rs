@@ -570,7 +570,6 @@ impl Iterator for TraceReader<'_> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::writer::write_trace;

@@ -742,7 +742,6 @@ impl LoadedTrace {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::session::TraceSession;

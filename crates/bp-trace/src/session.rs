@@ -158,7 +158,6 @@ impl TraceSession {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use bp_common::Addr;

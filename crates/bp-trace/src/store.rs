@@ -369,7 +369,6 @@ impl Observable for TraceStore {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::session::TraceSession;

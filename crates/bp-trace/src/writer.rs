@@ -204,7 +204,6 @@ pub fn write_trace(records: &[BranchRecord], records_per_chunk: usize) -> io::Re
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use bp_common::Addr;

@@ -2,6 +2,11 @@
 //! and deterministic damage reporting, at chunk sizes chosen to straddle
 //! chunk boundaries.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
+)]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 

@@ -17,7 +17,6 @@ use crate::mixes::IlpClass;
 
 /// The SPEC CPU2017 benchmarks used in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
 pub enum SpecBenchmark {
     CactuBssn,
     Imagick,

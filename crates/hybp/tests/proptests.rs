@@ -1,6 +1,11 @@
 //! Property-based tests on the HyBP codec and mechanisms, on the in-repo
 //! deterministic harness (`bp_common::check`).
 
+#![allow(
+    clippy::expect_used,
+    reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
+)]
+
 use bp_common::check::Checker;
 use bp_common::{Addr, Asid, BranchRecord, HwThreadId, Vmid};
 use bp_predictors::codec::{TableCodec, TableId, TableUnit};

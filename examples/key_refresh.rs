@@ -5,6 +5,11 @@
 //! cargo run --release --example key_refresh
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example aborts on a broken preset: it shows the happy path, not error handling"
+)]
+
 use hybp_repro::bp_common::{Asid, Vmid};
 use hybp_repro::bp_crypto::keys::{IndexSeed, KeysTable, KeysTableConfig};
 use hybp_repro::bp_crypto::{Qarma64, TweakableBlockCipher};

@@ -6,6 +6,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example aborts on a broken preset: it shows the happy path, not error handling"
+)]
+
 use hybp_repro::bp_common::Telemetry;
 use hybp_repro::bp_pipeline::{SimConfig, Simulation};
 use hybp_repro::bp_workloads::SpecBenchmark;

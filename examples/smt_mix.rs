@@ -5,6 +5,11 @@
 //! cargo run --release --example smt_mix [mix_id 1..=12]
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example aborts on a broken preset: it shows the happy path, not error handling"
+)]
+
 use hybp_repro::bp_common::stats::hmean_fairness;
 use hybp_repro::bp_pipeline::{SimConfig, Simulation};
 use hybp_repro::bp_workloads::TABLE_V_MIXES;

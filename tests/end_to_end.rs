@@ -1,6 +1,11 @@
 //! End-to-end integration tests: workloads → secure BPU → pipeline →
 //! metrics, across protection mechanisms.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
+)]
+
 use hybp_repro::bp_pipeline::{RunMetrics, SimConfig, Simulation};
 use hybp_repro::bp_workloads::profile::SpecBenchmark;
 use hybp_repro::bp_workloads::TABLE_V_MIXES;

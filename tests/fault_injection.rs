@@ -18,6 +18,11 @@
 //! or dropped code-book rewrite must not change the *acknowledged* refresh
 //! duration, else timing would leak the fault state.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
+)]
+
 use std::sync::OnceLock;
 
 use hybp_repro::bp_common::{Asid, Vmid};

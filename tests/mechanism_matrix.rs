@@ -2,6 +2,11 @@
 //! must behave sanely under every workload/topology combination the
 //! harnesses use (no panics, plausible metrics, correct event handling).
 
+#![allow(
+    clippy::expect_used,
+    reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
+)]
+
 use hybp_repro::bp_common::{Addr, Asid, BranchKind, BranchRecord, HwThreadId, Privilege};
 use hybp_repro::bp_pipeline::{RunMetrics, SimConfig, Simulation};
 use hybp_repro::bp_workloads::profile::SpecBenchmark;

@@ -7,6 +7,11 @@
 //!    sweep runs on 1 worker thread or 4 — clustering, selection, and
 //!    replay are pure functions of (bytes, spec), never of scheduling.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
+)]
+
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 

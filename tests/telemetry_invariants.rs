@@ -9,9 +9,16 @@
 //! `bp-pipeline/src/sim.rs`). These tests pin that claim observationally —
 //! refreshes demonstrably happen mid-run, predictions demonstrably land
 //! during them, and the event stream carries zero keys-attributed stalls.
+//! A last test pins why a disabled sink costs nothing: no emit site is
+//! per-branch.
 
-use hybp_repro::bp_common::{Telemetry, TelemetryEvent};
-use hybp_repro::bp_pipeline::{SimConfig, Simulation};
+#![allow(
+    clippy::expect_used,
+    reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
+)]
+
+use hybp_repro::bp_common::{Privilege, Telemetry, TelemetryEvent};
+use hybp_repro::bp_pipeline::{RunMetrics, SimConfig, Simulation};
 use hybp_repro::bp_workloads::SpecBenchmark;
 use hybp_repro::hybp::Mechanism;
 
@@ -25,22 +32,21 @@ fn refresh_heavy_cfg() -> SimConfig {
     cfg
 }
 
-fn run_with_sink() -> (hybp_repro::bp_pipeline::RunMetrics, Vec<TelemetryEvent>) {
+fn run_with_sink() -> (Simulation, RunMetrics, Vec<TelemetryEvent>) {
     let sink = Telemetry::ring(1 << 14);
-    let metrics = Simulation::builder(Mechanism::hybp_default(), refresh_heavy_cfg())
+    let mut sim = Simulation::builder(Mechanism::hybp_default(), refresh_heavy_cfg())
         .single_thread(SpecBenchmark::Deepsjeng)
         .telemetry(sink.clone())
         .build()
-        .expect("valid config")
-        .run()
-        .expect("completes");
+        .expect("valid config");
+    let metrics = sim.run().expect("completes");
     assert_eq!(sink.dropped(), 0, "ring must not overflow in this run");
-    (metrics, sink.drain())
+    (sim, metrics, sink.drain())
 }
 
 #[test]
 fn key_refreshes_overlap_zero_prediction_critical_path_stalls() {
-    let (metrics, events) = run_with_sink();
+    let (_, metrics, events) = run_with_sink();
 
     let refreshes: Vec<&TelemetryEvent> = events
         .iter()
@@ -86,7 +92,7 @@ fn refreshes_coincide_with_context_switch_stalls_not_fetch() {
     // same stream — so span overlap must be visible where it genuinely
     // exists. A refresh invariant test that could not detect any overlap
     // would be vacuous.
-    let (_, events) = run_with_sink();
+    let (_, _, events) = run_with_sink();
     let ctx_switches: Vec<&TelemetryEvent> = events
         .iter()
         .filter(|e| e.scope == "sim" && e.name == "ctx_switch_stall")
@@ -125,4 +131,39 @@ fn telemetry_capture_does_not_change_the_simulation() {
         .run()
         .expect("completes");
     assert_eq!(observed, plain, "telemetry must be a pure observer");
+}
+
+#[test]
+fn telemetry_emits_only_per_switch_and_per_renewal_spans() {
+    // A disabled sink is free because no emit site runs per branch. Pin
+    // that deterministically: every event is one of the two rare-event
+    // spans, and there are at most as many as the run had context
+    // switches plus key renewals. The BPU counters, like the sink, cover
+    // the whole run, warmup included.
+    let (sim, metrics, events) = run_with_sink();
+    for e in &events {
+        assert!(
+            matches!(
+                (e.scope, e.name),
+                ("sim", "ctx_switch_stall") | ("keys", "refresh")
+            ) && e.span_bounds().is_some(),
+            "unexpected telemetry event {e:?}"
+        );
+    }
+    let switches = metrics.bpu.context_switches;
+    assert!(switches > 0, "25K-cycle slices must switch");
+    // HyBP renews the outgoing domain's keys at every privilege level on
+    // each switch; the access counter triggers any other renewal.
+    let counter_renewals = sim
+        .bpu()
+        .observation()
+        .codec
+        .expect("HyBP randomizes")
+        .counter_renewals;
+    let renewals = switches * Privilege::ALL.len() as u64 + counter_renewals;
+    assert!(
+        events.len() as u64 <= switches + renewals,
+        "{} events for {switches} context switches and {renewals} key renewals",
+        events.len()
+    );
 }

@@ -14,6 +14,11 @@
 //!    accounted in a `# partial` CSV, and an empty stream is a
 //!    build-time config error.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
+)]
+
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
