@@ -3,10 +3,11 @@
 //! it runs the entire suite; `--only <name>[,<name>...]` selects
 //! experiments by registry name (unknown names are a usage error listing
 //! the valid ones). Everything selected runs in one process with a shared
-//! worker pool and a shared on-disk model cache, then the driver prints a
-//! per-experiment wall-clock table. The run journal,
+//! worker pool and a shared in-process memo of simulated points (so a
+//! point several experiments need is simulated once), then the driver
+//! prints a per-experiment wall-clock table. The run journal,
 //! `results/run_report.json`, is the suite's one report: per-experiment
-//! status and seconds, cache counters, and the suite's `total_seconds`.
+//! status, seconds and memo hits/misses, and the suite's `total_seconds`.
 //!
 //! Experiments run one after another, in registry order whatever order
 //! `--only` names them in (each is internally parallel across its sweep
@@ -20,9 +21,9 @@
 //! * after *each* experiment the driver journals
 //!   `results/run_report.json` (atomically, via tmp + rename) with the
 //!   per-experiment status, every lost sweep point, retry counts, and
-//!   cache quarantine/store-failure deltas, plus the wall-clock seconds
-//!   since the suite started — a crash mid-suite leaves a valid report
-//!   covering everything finished so far;
+//!   memo hit/miss deltas, plus the wall-clock seconds since the suite
+//!   started — a crash mid-suite leaves a valid report covering
+//!   everything finished so far;
 //! * `--resume` skips experiments the previous report (same scale)
 //!   recorded as clean and whose CSV is still present and not partial,
 //!   so an interrupted suite run finishes by re-running only what it
@@ -34,8 +35,9 @@
 //! With `--telemetry DIR` every experiment additionally exports a sorted,
 //! schema-valid telemetry JSONL file into `DIR` (validated line-by-line
 //! after each experiment), and the journal carries per-experiment
-//! telemetry summaries. Capture disables the model cache so every point
-//! actually simulates and the export is deterministic at any `--threads`.
+//! telemetry summaries. Capture turns the memo off so every point
+//! actually simulates and each experiment's file holds its own points'
+//! events, deterministically at any `--threads`.
 //!
 //! Usage: `bench_all [--only NAME,...] [OPTIONS]`; [`bench::cli`] documents
 //! every option.
@@ -47,7 +49,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bench::cache::CacheStats;
 use bench::{cli, experiments, Ctx, SweepReport};
 use bp_common::telemetry::parse_jsonl_line;
 
@@ -109,9 +110,9 @@ struct Outcome {
     reason: Option<String>,
     /// Sweep reports drained from the supervisor for this experiment.
     sweeps: Vec<SweepReport>,
-    /// Cache-counter movement during this experiment.
-    quarantined: u64,
-    store_failures: u64,
+    /// Memo lookups served and computed during this experiment.
+    cache_hits: u64,
+    cache_misses: u64,
     /// Telemetry export, when capture was enabled and the experiment
     /// flushed a file.
     telemetry: Option<TelemetrySummary>,
@@ -141,22 +142,23 @@ fn main() {
         .filter(|e| opts.only.as_ref().is_none_or(|only| only.contains(&e.name)))
         .collect();
     let (resume, deadline) = (opts.resume, opts.deadline);
-    let ctx = Arc::new(Ctx::from_options(opts));
+    let ctx = match Ctx::from_options(opts) {
+        Ok(ctx) => Arc::new(ctx),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    };
     let prior_report = if resume {
         std::fs::read_to_string(REPORT_PATH).ok()
     } else {
         None
     };
     println!(
-        "bench_all: {} experiment(s), scale {}, {} worker thread(s), cache {}{}{}",
+        "bench_all: {} experiment(s), scale {}, {} worker thread(s){}{}",
         exps.len(),
         ctx.scale.name(),
         ctx.pool.threads(),
-        if ctx.cache.is_enabled() {
-            "on"
-        } else {
-            "off (--no-cache)"
-        },
         match deadline {
             Some(d) => format!(", deadline {}s/experiment", d.as_secs()),
             None => String::new(),
@@ -179,7 +181,7 @@ fn main() {
     }
     if let Some(dir) = &ctx.telemetry_dir {
         println!(
-            "telemetry: exporting JSONL to {} (model cache disabled for determinism)",
+            "telemetry: exporting JSONL to {} (model memo off: every point simulates)",
             dir.display()
         );
     }
@@ -198,8 +200,8 @@ fn main() {
                     status: Status::Skipped,
                     reason: None,
                     sweeps: Vec::new(),
-                    quarantined: 0,
-                    store_failures: 0,
+                    cache_hits: 0,
+                    cache_misses: 0,
                     telemetry: None,
                 });
                 journal(&ctx, &outcomes, exps.len(), suite_start.elapsed());
@@ -277,8 +279,8 @@ fn main() {
             status,
             reason,
             sweeps,
-            quarantined: cache_after.quarantined - cache_before.quarantined,
-            store_failures: cache_after.store_failures - cache_before.store_failures,
+            cache_hits: cache_after.hits - cache_before.hits,
+            cache_misses: cache_after.misses - cache_before.misses,
             telemetry,
         });
         journal(&ctx, &outcomes, exps.len(), suite_start.elapsed());
@@ -310,7 +312,6 @@ fn main() {
         cache.misses,
         cache.hit_rate() * 100.0
     );
-    report_cache_health(&cache);
 
     println!("journal at {REPORT_PATH}");
 
@@ -406,25 +407,6 @@ fn validate_jsonl(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints quarantine/store-failure counters when they moved — a cache
-/// that has stopped persisting or is shedding corrupt entries should be
-/// visible in the summary, not only in the journal.
-fn report_cache_health(cache: &CacheStats) {
-    if cache.quarantined > 0 {
-        println!(
-            "cache: quarantined {} corrupt entr{} (see results/cache/quarantine/)",
-            cache.quarantined,
-            if cache.quarantined == 1 { "y" } else { "ies" }
-        );
-    }
-    if cache.store_failures > 0 {
-        println!(
-            "cache: {} store failure(s) — results were computed but not persisted",
-            cache.store_failures
-        );
-    }
-}
-
 /// Minimal JSON string escaping for reason/message fields.
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\")
@@ -478,9 +460,8 @@ fn render_report(
     let _ = writeln!(s, "  \"total_seconds\": {:.3},", elapsed.as_secs_f64());
     let _ = writeln!(
         s,
-        "  \"cache\": {{ \"hits\": {}, \"misses\": {}, \"store_failures\": {}, \
-         \"quarantined\": {} }},",
-        cache.hits, cache.misses, cache.store_failures, cache.quarantined
+        "  \"cache\": {{ \"hits\": {}, \"misses\": {} }},",
+        cache.hits, cache.misses
     );
     let _ = writeln!(s, "  \"experiments\": [");
     for (i, o) in outcomes.iter().enumerate() {
@@ -496,14 +477,14 @@ fn render_report(
         }
         let _ = write!(
             line,
-            ", \"retried_attempts\": {}, \"recovered\": {}, \"cache_quarantined\": {}, \
-             \"cache_store_failures\": {}",
+            ", \"retried_attempts\": {}, \"recovered\": {}, \"cache_hits\": {}, \
+             \"cache_misses\": {}",
             o.retried_attempts(),
             o.recovered(),
-            o.quarantined,
-            o.store_failures
+            o.cache_hits,
+            o.cache_misses
         );
-        // Telemetry fields stay inline on the experiment's line: the
+        // Memo and telemetry fields stay inline on the experiment's line: the
         // resume scan and CI's grep contracts are line-based.
         if let Some(t) = &o.telemetry {
             let _ = write!(

@@ -5,24 +5,24 @@
 //!
 //! * `--only NAME[,NAME...]` — run only the named experiments of
 //!   [`experiments::all`] (default: the whole suite). They run in registry
-//!   order whatever order they are given in, so cache seeding is unchanged.
+//!   order whatever order they are given in, so the memo fills in the same
+//!   order.
 //! * `--scale quick|default|full` — run-length preset ([`Scale`]),
 //! * `--threads N` — worker count for the parallel sweeps (default: the
 //!   `HYBP_THREADS` environment variable, else
 //!   [`std::thread::available_parallelism`]),
-//! * `--no-cache` — bypass the on-disk model cache entirely,
 //! * `--resume` — skip experiments the previous run report recorded as
 //!   clean whose CSV is still intact,
 //! * `--deadline-secs N` — abandon any one experiment after `N` seconds,
 //! * `--telemetry DIR` — export one sorted telemetry JSONL file per
-//!   experiment into `DIR`. Capture implies `--no-cache`: a cached point
-//!   runs no simulation and would emit no events, so serving from disk
-//!   would make the export depend on cache state.
+//!   experiment into `DIR`. Capture turns the in-process model memo off: a
+//!   memoised point runs no simulation, so a point shared by two
+//!   experiments would put its events in whichever file computed it first.
 //! * `--trace-dir DIR` — replay every instruction stream from the `.bpt`
 //!   traces in `DIR` (recorded with `trace_tool record`) instead of
-//!   running the synthetic generators. Replay also implies `--no-cache`: a
-//!   cached point runs no simulation and would silently skip the trace
-//!   path it claims to exercise.
+//!   running the synthetic generators. The memo stays on: every entry was
+//!   computed by this process, under this replay, so a hit returns exactly
+//!   what recomputing would.
 //! * `--trace-mode strict|lenient` — how trace damage is treated
 //!   (default `strict`; only valid with `--trace-dir`). Strict fails the
 //!   affected sweep points with an error naming the damaged chunk;
@@ -35,6 +35,10 @@
 //!   replay one weighted representative per phase instead of the whole
 //!   trace. Sampled CSVs carry a `# sampled:` header naming the window
 //!   counts and coverage.
+//!
+//! Shared simulation points (overhead models, direct interval points,
+//! single-thread and SMT runs) are memoised for the life of the process
+//! ([`ModelCache`]), so experiments sharing a point simulate it once.
 //!
 //! Unknown options and malformed values are fatal usage errors (exit
 //! code 2) with a message listing what is valid — a typo must never
@@ -57,11 +61,11 @@ use crate::{experiments, Csv, ExpResult, Scale};
 
 /// Option summary printed with every usage error.
 pub const USAGE: &str = "options: [--only NAME,...] [--scale quick|default|full] [--threads N] \
-     [--no-cache] [--resume] [--deadline-secs N] [--telemetry DIR] [--trace-dir DIR] \
+     [--resume] [--deadline-secs N] [--telemetry DIR] [--trace-dir DIR] \
      [--trace-mode strict|lenient] [--benches a,b,...] \
      [--sample k=K,window=W,dims=D,warmup=U,seed=S,iters=I]";
 
-/// Parsed command-line options, before any pool/cache is constructed.
+/// Parsed command-line options, before any pool is constructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliOptions {
     /// Experiments selected by `--only`, in registry order; `None` runs
@@ -71,8 +75,6 @@ pub struct CliOptions {
     pub scale: Scale,
     /// Worker count (≥ 1, already resolved against the environment).
     pub threads: usize,
-    /// Whether `--no-cache` was given.
-    pub no_cache: bool,
     /// Whether `--resume` was given.
     pub resume: bool,
     /// Per-experiment watchdog (`--deadline-secs`), if any.
@@ -174,7 +176,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
     let mut only: Option<Vec<&'static str>> = None;
     let mut scale = Scale::Default;
     let mut threads: Option<usize> = None;
-    let mut no_cache = false;
     let mut resume = false;
     let mut deadline: Option<Duration> = None;
     let mut telemetry: Option<PathBuf> = None;
@@ -193,7 +194,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
             "--only" => only = Some(parse_only(value()?)?),
             "--scale" => scale = Scale::parse(value()?)?,
             "--threads" => threads = Some(parse_threads(value()?)?),
-            "--no-cache" => no_cache = true,
             "--resume" => resume = true,
             "--deadline-secs" => {
                 let secs = bp_common::parse::positive("deadline", value()?)?;
@@ -225,7 +225,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
         only,
         scale,
         threads,
-        no_cache,
         resume,
         deadline,
         telemetry,
@@ -242,17 +241,17 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
 pub const RETRY_SEED: u64 = 0x4879_4250; // "HyBP"
 
 /// Everything an experiment body needs: the scale preset, the worker
-/// pool, the shared on-disk model cache, and the sweep supervisor. One
-/// `Ctx` serves a whole `bench_all` suite run, so cache statistics
-/// aggregate across experiments while the supervisor is drained per
-/// experiment.
+/// pool, the model-point memo, and the sweep supervisor. One `Ctx` serves
+/// a whole `bench_all` suite run, so every experiment shares the memo
+/// while the supervisor is drained per experiment.
 #[derive(Debug)]
 pub struct Ctx {
     /// Run-length preset.
     pub scale: Scale,
     /// Worker pool for the sweep grids.
     pub pool: Pool,
-    /// Shared model cache.
+    /// In-process memo of simulated points, shared by every experiment
+    /// run through this context (off under telemetry capture).
     pub cache: ModelCache,
     /// Retry policy applied to every supervised sweep.
     pub retry: RetryPolicy,
@@ -281,13 +280,13 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// A context from explicit parts, with the standard retry policy, no
-    /// injected point faults, and CSVs under `results/`.
-    pub fn custom(scale: Scale, pool: Pool, cache: ModelCache) -> Ctx {
+    /// A context from explicit parts, with an empty memo, the standard
+    /// retry policy, no injected point faults, and CSVs under `results/`.
+    pub fn custom(scale: Scale, pool: Pool) -> Ctx {
         Ctx {
             scale,
             pool,
-            cache,
+            cache: ModelCache::new(true),
             retry: RetryPolicy::standard(RETRY_SEED),
             fault_points: PointFaultPlan::empty(),
             supervisor: Supervisor::new(),
@@ -307,9 +306,8 @@ impl Ctx {
     }
 
     /// Attaches a trace store: every simulation point replays captured
-    /// streams instead of generating. Callers who also hold a cache must
-    /// disable it — a cache hit would silently skip the replay
-    /// ([`Ctx::from_options`] enforces this for the CLI path).
+    /// streams instead of generating. Attach it before running anything,
+    /// so every memo entry comes from the replay.
     pub fn with_trace_store(mut self, store: Arc<TraceStore>) -> Ctx {
         self.trace = Some(store);
         self
@@ -335,35 +333,28 @@ impl Ctx {
     }
 
     /// Enables telemetry capture, flushing one JSONL file per experiment
-    /// into `dir`. Callers who also hold a cache must disable it — see the
-    /// module docs ([`Ctx::from_options`] enforces this for the CLI path).
+    /// into `dir`, and turns the memo off: a memoised point runs no
+    /// simulation, so a point shared by two experiments would put its
+    /// events in whichever one computed it first (or in both, under a
+    /// race).
     pub fn with_telemetry_dir(mut self, dir: impl Into<PathBuf>) -> Ctx {
+        self.cache = ModelCache::new(false);
         self.telemetry = TelemetryHub::new(true);
         self.telemetry_dir = Some(dir.into());
         self
     }
 
-    /// A context from explicit options, using the standard cache
-    /// directory. A malformed `HYBP_FAULT_POINTS` value is a fatal usage
-    /// error (exit code 2) — a typo must never silently inject nothing.
-    pub fn from_options(opts: CliOptions) -> Ctx {
-        let fault_points = match PointFaultPlan::from_env() {
-            Ok(plan) => plan,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
-        // Telemetry capture and trace replay both force the cache off: a
-        // cache hit runs no simulation, so it would emit no events and
-        // would silently skip the replay path.
-        let cache_enabled = !opts.no_cache && opts.telemetry.is_none() && opts.trace_dir.is_none();
-        let mut ctx = Ctx::custom(
-            opts.scale,
-            Pool::new(opts.threads),
-            ModelCache::standard(cache_enabled),
-        )
-        .with_fault_points(fault_points);
+    /// A context from explicit options.
+    ///
+    /// # Errors
+    ///
+    /// A malformed `HYBP_FAULT_POINTS` value (a typo must never silently
+    /// inject nothing) or a `--trace-dir` that cannot be opened as a trace
+    /// session; `bench_all` reports either as a usage error (exit code 2).
+    pub fn from_options(opts: CliOptions) -> Result<Ctx, String> {
+        let fault_points = PointFaultPlan::from_env()?;
+        let mut ctx =
+            Ctx::custom(opts.scale, Pool::new(opts.threads)).with_fault_points(fault_points);
         if let Some(dir) = opts.telemetry {
             ctx = ctx.with_telemetry_dir(dir);
         }
@@ -377,13 +368,7 @@ impl Ctx {
             if let Some(spec) = opts.sample {
                 builder = builder.sampling(spec);
             }
-            let session = match builder.build() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            };
+            let session = builder.build().map_err(|e| e.to_string())?;
             ctx = ctx.with_trace_store(Arc::clone(session.store()));
             if let Some(spec) = session.sampling() {
                 ctx = ctx.with_sampling(*spec);
@@ -392,7 +377,7 @@ impl Ctx {
         if let Some(benches) = opts.benches {
             ctx = ctx.with_bench_subset(benches);
         }
-        ctx
+        Ok(ctx)
     }
 
     /// Runs one supervised sweep: `f` over `items` in input order,
@@ -581,10 +566,10 @@ mod tests {
 
     #[test]
     fn parses_all_flags() {
-        let o = parse(&s(&["--scale", "quick", "--threads", "3", "--no-cache"])).unwrap();
+        let o = parse(&s(&["--scale", "quick", "--threads", "3", "--resume"])).unwrap();
         assert_eq!(o.scale, Scale::Quick);
         assert_eq!(o.threads, 3);
-        assert!(o.no_cache);
+        assert!(o.resume);
     }
 
     #[test]
@@ -605,6 +590,9 @@ mod tests {
     #[test]
     fn rejects_unknown_options_and_missing_values() {
         assert!(parse(&s(&["--scael", "quick"])).is_err());
+        let e = parse(&s(&["--no-cache"])).unwrap_err();
+        assert!(e.contains("unknown option '--no-cache'"), "{e}");
+        assert!(e.contains(USAGE), "{e}");
         assert!(parse(&s(&["--scale"])).is_err());
         assert!(parse(&s(&["--threads"])).is_err());
         assert!(parse(&s(&["--telemetry"])).is_err());
@@ -660,7 +648,7 @@ mod tests {
             o.telemetry.as_deref(),
             Some(std::path::Path::new("out/telemetry"))
         );
-        let ctx = Ctx::from_options(o);
+        let ctx = Ctx::from_options(o).unwrap();
         assert!(ctx.telemetry.is_enabled());
         assert_eq!(
             ctx.telemetry_dir.as_deref(),
@@ -668,8 +656,30 @@ mod tests {
         );
         assert!(
             !ctx.cache.is_enabled(),
-            "telemetry capture must disable the model cache"
+            "telemetry capture must turn the memo off"
         );
+    }
+
+    #[test]
+    fn trace_dir_naming_a_regular_file_is_an_error_not_an_exit() {
+        let file = std::env::temp_dir().join(format!("hybp-cli-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, "not a trace directory").unwrap();
+        let path = file.display().to_string();
+        let o = parse(&s(&["--trace-dir", &path, "--threads", "1"])).unwrap();
+        let e = Ctx::from_options(o).unwrap_err();
+        std::fs::remove_file(&file).unwrap();
+        assert!(e.contains("not a directory"), "{e}");
+    }
+
+    #[test]
+    fn trace_replay_keeps_the_memo_on() {
+        // A missing trace directory opens fine (replay fails per point).
+        let dir = std::env::temp_dir().join(format!("hybp-cli-no-traces-{}", std::process::id()));
+        let path = dir.display().to_string();
+        let o = parse(&s(&["--trace-dir", &path, "--threads", "1"])).unwrap();
+        let ctx = Ctx::from_options(o).unwrap();
+        assert!(ctx.trace.is_some());
+        assert!(ctx.cache.is_enabled());
     }
 
     #[test]
@@ -677,6 +687,6 @@ mod tests {
         let o = parse(&[]).unwrap();
         assert_eq!(o.scale, Scale::Default);
         assert!(o.threads >= 1);
-        assert!(!o.no_cache);
+        assert!(Ctx::custom(o.scale, Pool::new(1)).cache.is_enabled());
     }
 }

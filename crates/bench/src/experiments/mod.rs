@@ -3,7 +3,8 @@
 //! Each submodule holds the body of one experiment; the [`all`] registry
 //! is what `bench_all`, the one entry point, iterates — the whole suite by
 //! default, or the experiments `--only` names — so everything runs in one
-//! process with a shared worker pool and a shared model cache.
+//! process with a shared worker pool and a shared in-process memo of
+//! simulated points.
 //!
 //! Every body follows the same determinism discipline: the sweep grid is
 //! fanned out with the context's order-preserving
@@ -41,9 +42,9 @@ pub struct Experiment {
 }
 
 /// The full suite, in the order `bench_all` runs it (an `--only`
-/// selection keeps this order). Cheap experiments that seed the cache
-/// with widely shared points (baseline models, no-switch IPCs) come first
-/// so later experiments hit warm entries even on a cold cache.
+/// selection keeps this order). Cheap experiments that seed the memo with
+/// widely shared points (baseline models, no-switch IPCs) come first so
+/// later experiments hit them instead of simulating them again.
 pub fn all() -> Vec<Experiment> {
     vec![
         Experiment {

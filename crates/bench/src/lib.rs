@@ -268,7 +268,7 @@ impl OverheadModel {
 /// `mechanism`, with both underlying runs observed by `telemetry` (so span
 /// events survive into the suite's JSONL export) and optionally replayed
 /// from `trace`.
-pub fn single_thread_model_observed(
+fn single_thread_model_observed(
     mechanism: Mechanism,
     bench: SpecBenchmark,
     scale: Scale,
@@ -298,7 +298,7 @@ pub fn degradation(ipc: f64, baseline_ipc: f64) -> f64 {
     (baseline_ipc - ipc) / baseline_ipc
 }
 
-/// Cache key for a simulation-derived point: folds in the mechanism
+/// Memo key for a simulation-derived point: folds in the mechanism
 /// (including its embedded config), the workload description, the scale
 /// and the *exact* simulation parameters, so no two distinct points can
 /// alias and any config change misses cleanly.
@@ -316,9 +316,9 @@ fn sim_key(
         .with("cfg", format_args!("{cfg:?}"))
 }
 
-/// [`single_thread_model_observed`] through the context's on-disk cache:
-/// the two model parameters are stored bit-exactly, so a warm run
-/// reproduces the cold run's numbers to the last bit.
+/// [`single_thread_model_observed`] through the context's memo: the two
+/// model parameters are stored bit-exactly, so every experiment sharing a
+/// model sees the same numbers to the last bit.
 pub fn model_cached(ctx: &Ctx, mechanism: Mechanism, bench: SpecBenchmark) -> OverheadModel {
     let cal_cfg = direct_config(
         ctx.scale,
@@ -341,16 +341,6 @@ pub fn model_cached(ctx: &Ctx, mechanism: Mechanism, bench: SpecBenchmark) -> Ov
         ctx.telemetry.absorb(&sink);
         vec![m.ipc_fixed, m.per_switch_cycles]
     });
-    if v.len() != 2 {
-        // Malformed payload despite a matching key: fall back to compute.
-        return single_thread_model_observed(
-            mechanism,
-            bench,
-            ctx.scale,
-            &Telemetry::disabled(),
-            ctx.trace.as_ref(),
-        );
-    }
     OverheadModel {
         ipc_fixed: v[0],
         per_switch_cycles: v[1],
@@ -359,8 +349,8 @@ pub fn model_cached(ctx: &Ctx, mechanism: Mechanism, bench: SpecBenchmark) -> Ov
 
 /// IPC of `bench` under `mechanism` at `interval`: measured directly when
 /// the interval is small enough, with the point served from the context's
-/// cache, and modeled otherwise (modeled points are free — they are pure
-/// arithmetic on the already-cached model). Returns `(ipc, method)`.
+/// memo, and modeled otherwise (modeled points are free — they are pure
+/// arithmetic on the already-memoised model). Returns `(ipc, method)`.
 pub fn ipc_at_cached(
     ctx: &Ctx,
     mechanism: Mechanism,
@@ -398,16 +388,6 @@ pub fn st_point_cached(
         ctx.telemetry.absorb(&sink);
         vec![m.threads[0].ipc(), m.bpu.direction_accuracy()]
     });
-    if v.len() != 2 {
-        let m = run_single(
-            mechanism,
-            bench,
-            cfg,
-            &Telemetry::disabled(),
-            ctx.trace.as_ref(),
-        );
-        return (m.threads[0].ipc(), m.bpu.direction_accuracy());
-    }
     (v[0], v[1])
 }
 
@@ -435,16 +415,6 @@ pub fn smt_point_cached(
         out.extend(m.ipcs());
         out
     });
-    if v.len() < 2 {
-        let m = run_smt_pair(
-            mechanism,
-            pair,
-            cfg,
-            &Telemetry::disabled(),
-            ctx.trace.as_ref(),
-        );
-        return (m.throughput(), m.ipcs());
-    }
     (v[0], v[1..].to_vec())
 }
 

@@ -31,7 +31,9 @@ use bp_common::pool::Pool;
 use bp_faults::points::PointFaultPlan;
 use bp_serve::{Response, ServeConfig, ServeEngine, ServeReport, WorkloadSpec};
 
-use crate::cache::CODE_SALT;
+/// Simulation-core identity folded into [`fingerprint`]. Changing it
+/// changes the fingerprint pinned in `BENCH_serve.json`.
+const CODE_SALT: &str = "hybp-sim-2026-08-pr2";
 
 /// Report schema version (bump on any layout change).
 pub const SCHEMA: u32 = 1;
@@ -131,8 +133,7 @@ pub struct ServeBenchReport {
     pub schema: u32,
     /// Measurement mode of the live `soak` block.
     pub mode: String,
-    /// Config fingerprint (derived from [`CODE_SALT`] plus a serve-suite
-    /// tag).
+    /// Config fingerprint ([`fingerprint`]).
     pub fingerprint: String,
     /// The live measurement.
     pub soak: SoakResult,
@@ -141,8 +142,9 @@ pub struct ServeBenchReport {
 }
 
 /// Deterministic fingerprint tying `BENCH_serve.json` to the declared
-/// simulation-core identity: FNV-1a 64 over [`CODE_SALT`] then the suite
-/// tag, so the file changes identity when the core is declared changed.
+/// simulation-core identity: FNV-1a 64 over the core identity string then
+/// the suite tag, so the file changes identity when the core is declared
+/// changed.
 pub fn fingerprint() -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in CODE_SALT.bytes().chain(*b"/serve") {
@@ -640,5 +642,7 @@ mod tests {
         assert_eq!(f.len(), 16);
         assert_eq!(f, fingerprint());
         assert!(f.chars().all(|c| c.is_ascii_hexdigit()));
+        // The value pinned in the committed BENCH_serve.json.
+        assert_eq!(f, "a30bb24d6a2320a7");
     }
 }

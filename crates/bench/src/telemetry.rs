@@ -11,11 +11,11 @@
 //! Events are stamped with deterministic *virtual* cycles, and the flush
 //! sorts by the event's entire content (cycle first), so the byte stream is
 //! independent of worker-thread scheduling and of the order in which sweep
-//! points were absorbed. The only remaining hazard is the model cache: a
-//! cached point runs no simulation and emits nothing, so telemetry capture
-//! forces the cache off (see [`crate::cli::Ctx::from_options`]) — every
-//! point computes, and the event multiset is a pure function of the
-//! experiment's inputs.
+//! points were absorbed. The only remaining hazard is the model memo: a
+//! memoised point runs no simulation and emits nothing, so telemetry
+//! capture turns the memo off (see [`crate::cli::Ctx::with_telemetry_dir`])
+//! — every point computes, and the event multiset is a pure function of
+//! the experiment's inputs.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,34 +1,19 @@
 //! Determinism guarantees of the parallel sweep executor and the model
-//! cache: worker count must never change a number — down to the bytes of
-//! an experiment's CSV — and a cache round-trip (including through
-//! corruption) must reproduce cold-run values bit-exactly.
+//! memo: worker count must never change a number — down to the bytes of
+//! an experiment's CSV — and a memo hit must reproduce the computing
+//! run's values bit-exactly.
 
 #![allow(
     clippy::expect_used,
     reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
 )]
 
-use bench::cache::{CacheKey, ModelCache};
+use bench::cache::CacheKey;
 use bench::{model_cached, no_switch_config, no_switch_ipc_cached, Ctx, Scale};
 use bp_common::pool::Pool;
 use bp_pipeline::{SimConfig, Simulation};
 use bp_workloads::profile::SpecBenchmark;
 use hybp::Mechanism;
-
-/// A context whose cache lives in a fresh temp directory.
-fn tmp_ctx(tag: &str, threads: usize, enabled: bool) -> Ctx {
-    let dir = std::env::temp_dir().join(format!("hybp-determinism-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    Ctx::custom(
-        Scale::Quick,
-        Pool::new(threads),
-        ModelCache::at_dir(dir, enabled),
-    )
-}
-
-fn cleanup(ctx: &Ctx) {
-    let _ = std::fs::remove_dir_all(ctx.cache.dir());
-}
 
 /// A short real simulation — heavy enough to exercise the whole stack,
 /// light enough for a debug-mode test.
@@ -83,43 +68,32 @@ fn par_map_output_is_input_ordered_not_completion_ordered() {
 
 #[test]
 fn cache_round_trip_reproduces_cold_run_bits() {
-    let ctx = tmp_ctx("roundtrip", 1, true);
+    let ctx = Ctx::custom(Scale::Quick, Pool::new(1));
     let mech = Mechanism::hybp_default();
     let bench = SpecBenchmark::Xalancbmk;
     let key = CacheKey::new("test_ipc")
         .with("mech", format_args!("{mech:?}"))
         .with("bench", format_args!("{bench:?}"));
 
-    // Cold run: computes and writes the entry.
+    // Cold lookup: computes and memoises the entry.
     let cold = ctx.cache.get_or_compute_one(&key, || tiny_ipc(mech, bench));
     assert_eq!(ctx.cache.stats().misses, 1);
 
-    // Warm reload must be a hit and bit-identical.
+    // Warm lookup must be a hit and bit-identical.
     let warm = ctx
         .cache
         .get_or_compute_one(&key, || panic!("warm lookup must not recompute"));
     assert_eq!(cold.to_bits(), warm.to_bits());
     assert_eq!(ctx.cache.stats().hits, 1);
-
-    // Corrupt every cache file, then reload: must recompute and land on
-    // the exact cold-run value again — a bad cache file means recompute,
-    // never a wrong number.
-    for entry in std::fs::read_dir(ctx.cache.dir()).unwrap() {
-        std::fs::write(entry.unwrap().path(), b"\x00garbage\xff").unwrap();
-    }
-    let recomputed = ctx.cache.get_or_compute_one(&key, || tiny_ipc(mech, bench));
-    assert_eq!(cold.to_bits(), recomputed.to_bits());
-    assert_eq!(ctx.cache.stats().misses, 2);
-    cleanup(&ctx);
 }
 
 #[test]
 fn cached_model_matches_uncached_model_bitwise() {
-    let ctx = tmp_ctx("model", 2, true);
+    let ctx = Ctx::custom(Scale::Quick, Pool::new(2));
     let mech = Mechanism::Baseline;
     let bench = SpecBenchmark::Exchange2;
-    // The plain (uncached) IPC point and the cached one must agree on a
-    // cold cache, and again on a warm one.
+    // The plain (unmemoised) IPC point and the memoised one must agree on
+    // an empty memo, and again on a warm one.
     let direct = Simulation::builder(mech, no_switch_config(ctx.scale))
         .single_thread(bench)
         .build()
@@ -134,12 +108,11 @@ fn cached_model_matches_uncached_model_bitwise() {
     assert_eq!(cold.to_bits(), warm.to_bits());
     let stats = ctx.cache.stats();
     assert_eq!((stats.hits, stats.misses), (1, 1));
-    cleanup(&ctx);
 }
 
 #[test]
 fn overhead_model_survives_cache_and_thread_count() {
-    let ctx1 = tmp_ctx("model-t1", 1, true);
+    let ctx1 = Ctx::custom(Scale::Quick, Pool::new(1));
     let m_cold = model_cached(&ctx1, Mechanism::Baseline, SpecBenchmark::Lbm);
     let m_warm = model_cached(&ctx1, Mechanism::Baseline, SpecBenchmark::Lbm);
     assert_eq!(m_cold.ipc_fixed.to_bits(), m_warm.ipc_fixed.to_bits());
@@ -148,15 +121,13 @@ fn overhead_model_survives_cache_and_thread_count() {
         m_warm.per_switch_cycles.to_bits()
     );
 
-    let ctx8 = tmp_ctx("model-t8", 8, true);
+    let ctx8 = Ctx::custom(Scale::Quick, Pool::new(8));
     let m8 = model_cached(&ctx8, Mechanism::Baseline, SpecBenchmark::Lbm);
     assert_eq!(m_cold.ipc_fixed.to_bits(), m8.ipc_fixed.to_bits());
     assert_eq!(
         m_cold.per_switch_cycles.to_bits(),
         m8.per_switch_cycles.to_bits()
     );
-    cleanup(&ctx1);
-    cleanup(&ctx8);
 }
 
 /// Golden guarantee for the telemetry export: a fixed-seed fig5 subset
@@ -173,13 +144,9 @@ fn telemetry_jsonl_is_byte_identical_across_thread_counts() {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&base);
-        let ctx = Ctx::custom(
-            Scale::Quick,
-            Pool::new(threads),
-            ModelCache::at_dir(base.join("cache"), false),
-        )
-        .with_results_dir(base.join("results"))
-        .with_telemetry_dir(base.join("telemetry"));
+        let ctx = Ctx::custom(Scale::Quick, Pool::new(threads))
+            .with_results_dir(base.join("results"))
+            .with_telemetry_dir(base.join("telemetry"));
         bench::experiments::fig5::run_with_benches(&ctx, &benches).expect("fig5 subset runs clean");
         let text = std::fs::read_to_string(base.join("telemetry").join("fig5_hybp_per_app.jsonl"))
             .expect("telemetry JSONL written");
@@ -196,26 +163,25 @@ fn telemetry_jsonl_is_byte_identical_across_thread_counts() {
     );
 }
 
+/// Telemetry capture is the memo's one off switch: every lookup then
+/// simulates, and still lands on the same bits.
 #[test]
 fn disabled_cache_still_computes_correctly() {
-    let ctx = tmp_ctx("disabled", 2, false);
+    let dir = std::env::temp_dir().join(format!("hybp-determinism-off-{}", std::process::id()));
+    let ctx = Ctx::custom(Scale::Quick, Pool::new(2)).with_telemetry_dir(&dir);
+    assert!(!ctx.cache.is_enabled());
     let a = no_switch_ipc_cached(&ctx, Mechanism::Baseline, SpecBenchmark::Roms);
     let b = no_switch_ipc_cached(&ctx, Mechanism::Baseline, SpecBenchmark::Roms);
     assert_eq!(a.to_bits(), b.to_bits());
-    assert_eq!(ctx.cache.stats().hits, 0);
-    assert!(!ctx.cache.dir().exists());
+    let stats = ctx.cache.stats();
+    assert_eq!((stats.hits, stats.misses), (0, 2));
 }
 
-/// A context with a disabled cache in a fresh temp dir: every point truly
-/// simulates, so the comparison exercises the monomorphized hot path, not
-/// the cache.
+/// A fresh context writing CSVs under `base`: its memo starts empty, so
+/// every distinct point simulates once and the comparison exercises the
+/// monomorphized hot path.
 fn csv_ctx(base: &std::path::Path, threads: usize) -> Ctx {
-    Ctx::custom(
-        Scale::Quick,
-        Pool::new(threads),
-        ModelCache::at_dir(base.join("cache"), false),
-    )
-    .with_results_dir(base.join("results"))
+    Ctx::custom(Scale::Quick, Pool::new(threads)).with_results_dir(base.join("results"))
 }
 
 fn csv_bytes_for_threads(tag: &str, threads: usize, run: impl Fn(&Ctx), csv_name: &str) -> String {

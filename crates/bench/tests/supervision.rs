@@ -7,23 +7,18 @@
     reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
 )]
 
-use bench::cache::ModelCache;
 use bench::{Ctx, Scale};
 use bp_common::pool::{Pool, RetryPolicy};
 use bp_faults::points::PointFaultPlan;
 
-/// A context with a temp results dir and temp cache dir, threaded, with
-/// the standard retry policy and the given fault plan.
+/// A context with a temp results dir, threaded, with the standard retry
+/// policy and the given fault plan.
 fn tmp_ctx(tag: &str, threads: usize, plan: &str) -> Ctx {
     let base = std::env::temp_dir().join(format!("hybp-supervision-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    Ctx::custom(
-        Scale::Quick,
-        Pool::new(threads),
-        ModelCache::at_dir(base.join("cache"), false),
-    )
-    .with_results_dir(base.join("results"))
-    .with_fault_points(PointFaultPlan::parse(plan).expect("valid plan"))
+    Ctx::custom(Scale::Quick, Pool::new(threads))
+        .with_results_dir(base.join("results"))
+        .with_fault_points(PointFaultPlan::parse(plan).expect("valid plan"))
 }
 
 fn cleanup(ctx: &Ctx) {

@@ -68,7 +68,7 @@ use crate::telemetry::{Observable, TelemetrySnapshot};
 
 /// A typed, retry-aware task error for [`Pool::try_par_map`].
 ///
-/// `transient` failures (cache I/O hiccups, injected disturbances that are
+/// `transient` failures (I/O hiccups, injected disturbances that are
 /// expected to clear) are retry-eligible under the sweep's [`RetryPolicy`];
 /// fatal ones are recorded immediately.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,9 +1,8 @@
-//! Shard snapshot persistence, mirroring the model-cache serialization
-//! discipline: a versioned magic line, a key line naming what the payload
-//! belongs to, hex-encoded content lines, an FNV-1a seal, and an `end`
-//! terminator whose absence marks a truncated write. Files are written to
-//! a temporary name and renamed into place so a crash mid-write can never
-//! leave a plausible-looking partial snapshot.
+//! Shard snapshot persistence: a versioned magic line, a key line naming
+//! what the payload belongs to, hex-encoded content lines, an FNV-1a seal,
+//! and an `end` terminator whose absence marks a truncated write. Files
+//! are written to a temporary name and renamed into place so a crash
+//! mid-write can never leave a plausible-looking partial snapshot.
 //!
 //! The payload is the shard's replay journal prefix (not raw table bits):
 //! replaying it through the exact live-serving path reconstructs the

@@ -267,7 +267,6 @@ fn refresh_timing_is_fault_independent() {
 /// degradation as a visible error.
 #[test]
 fn sec_fault_matrix_survives_point_faults_under_the_supervisor() {
-    use bench::cache::ModelCache;
     use bench::{experiments, Ctx, Scale, SweepReport};
     use bp_common::pool::Pool;
     use bp_faults::points::PointFaultPlan;
@@ -279,13 +278,9 @@ fn sec_fault_matrix_survives_point_faults_under_the_supervisor() {
     let plan =
         PointFaultPlan::parse("panic@sec_fault_matrix:grid@5,transient@sec_fault_matrix:grid@11@1")
             .expect("valid plan");
-    let ctx = Ctx::custom(
-        Scale::Quick,
-        Pool::new(2),
-        ModelCache::at_dir(base.join("cache"), false),
-    )
-    .with_results_dir(base.join("results"))
-    .with_fault_points(plan);
+    let ctx = Ctx::custom(Scale::Quick, Pool::new(2))
+        .with_results_dir(base.join("results"))
+        .with_fault_points(plan);
 
     let exp = experiments::all()
         .into_iter()

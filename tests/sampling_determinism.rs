@@ -105,14 +105,10 @@ fn sampled_fig5(base: &Path, traces: &Path, tag: &str, threads: usize) -> String
             .store(),
     );
     let results = base.join(format!("results-{tag}"));
-    let ctx = Ctx::custom(
-        Scale::Quick,
-        Pool::new(threads),
-        bench::cache::ModelCache::standard(false),
-    )
-    .with_results_dir(&results)
-    .with_trace_store(store)
-    .with_sampling(spec());
+    let ctx = Ctx::custom(Scale::Quick, Pool::new(threads))
+        .with_results_dir(&results)
+        .with_trace_store(store)
+        .with_sampling(spec());
     experiments::fig5::run_with_benches(&ctx, &[SpecBenchmark::Mcf, SpecBenchmark::Xz])
         .expect("sampled fig5 completes");
     std::fs::read_to_string(results.join("fig5_hybp_per_app.csv")).expect("csv written")

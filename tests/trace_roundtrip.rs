@@ -143,12 +143,7 @@ fn fig5_run(
     trace: Option<Arc<TraceStore>>,
 ) -> (Result<(), String>, String, Ctx) {
     let results = base.join(format!("results-{tag}"));
-    let mut ctx = Ctx::custom(
-        Scale::Quick,
-        Pool::new(threads),
-        bench::cache::ModelCache::standard(false),
-    )
-    .with_results_dir(&results);
+    let mut ctx = Ctx::custom(Scale::Quick, Pool::new(threads)).with_results_dir(&results);
     if let Some(store) = trace {
         ctx = ctx.with_trace_store(store);
     }
