@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bp_common::pool::{FailMode, Pool, RetryPolicy, TaskError};
+use bp_common::pool::{Pool, RetryPolicy, TaskError};
 use bp_faults::points::{PointDisposition, PointFaultPlan};
 use bp_trace::{ReadMode, SamplingSpec, TraceSession, TraceStore};
 use bp_workloads::profile::SpecBenchmark;
@@ -396,30 +396,25 @@ impl Ctx {
         F: Fn(&T) -> R + Sync,
     {
         let attempts_seen: Vec<AtomicU32> = items.iter().map(|_| AtomicU32::new(0)).collect();
-        let results = self.pool.try_par_map(
-            items,
-            FailMode::FailSoft,
-            &self.retry,
-            |i, item, attempt| {
-                attempts_seen[i].fetch_max(attempt, Ordering::Relaxed);
-                match self.fault_points.disposition(label, i, attempt) {
-                    PointDisposition::Proceed => Ok(f(item)),
-                    #[expect(
-                        clippy::panic,
-                        reason = "deliberate injected point fault used to exercise the supervised-sweep recovery path"
-                    )]
-                    PointDisposition::Panic => {
-                        panic!("injected point fault: panic at {label}[{i}] attempt {attempt}")
-                    }
-                    PointDisposition::FatalError => Err(TaskError::fatal(format!(
-                        "injected point fault: fatal error at {label}[{i}]"
-                    ))),
-                    PointDisposition::TransientError => Err(TaskError::transient(format!(
-                        "injected point fault: transient error at {label}[{i}] attempt {attempt}"
-                    ))),
+        let results = self.pool.try_par_map(items, &self.retry, |i, item, attempt| {
+            attempts_seen[i].fetch_max(attempt, Ordering::Relaxed);
+            match self.fault_points.disposition(label, i, attempt) {
+                PointDisposition::Proceed => Ok(f(item)),
+                #[expect(
+                    clippy::panic,
+                    reason = "deliberate injected point fault used to exercise the supervised-sweep recovery path"
+                )]
+                PointDisposition::Panic => {
+                    panic!("injected point fault: panic at {label}[{i}] attempt {attempt}")
                 }
-            },
-        );
+                PointDisposition::FatalError => Err(TaskError::fatal(format!(
+                    "injected point fault: fatal error at {label}[{i}]"
+                ))),
+                PointDisposition::TransientError => Err(TaskError::transient(format!(
+                    "injected point fault: transient error at {label}[{i}] attempt {attempt}"
+                ))),
+            }
+        });
         let mut completed = 0;
         let mut recovered = 0;
         let mut retried_attempts = 0u32;

@@ -2,7 +2,7 @@
 //! recovered sweep points.
 //!
 //! The supervised executor ([`crate::Ctx::sweep`]) runs every sweep through
-//! [`bp_common::pool::Pool::try_par_map`] in fail-soft mode: one panicking
+//! [`bp_common::pool::Pool::try_par_map`], which is fail-soft: one panicking
 //! or erroring point costs *that point*, never the experiment, and never
 //! the suite. Whatever is lost is recorded here as a [`SweepReport`] so
 //! that

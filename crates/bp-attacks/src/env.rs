@@ -8,7 +8,7 @@
 //! mispredicted (via a Flush+Reload-style side channel the paper's PoC
 //! uses) — never raw table state.
 
-use bp_common::{Addr, Asid, BranchKind, BranchRecord, Cycle, HwThreadId, Privilege};
+use bp_common::{Addr, Asid, BranchKind, BranchRecord, Cycle, HwThreadId};
 use hybp::{Mechanism, SecureBpu};
 
 /// Attacker/victim pair sharing one branch prediction unit.
@@ -162,21 +162,6 @@ impl AttackEnv {
         let rec = BranchRecord::conditional(pc, pc.wrapping_add(0x80), taken, 1);
         let o = self.bpu.process_branch(self.victim, &rec, self.now);
         o.direction_mispredict
-    }
-
-    /// Switches the victim's privilege level (cross-privilege scenarios).
-    pub fn victim_privilege(&mut self, privilege: Privilege) {
-        self.step();
-        self.bpu
-            .on_privilege_change(self.victim, privilege, self.now);
-    }
-
-    /// Context switch on the victim thread (forces key changes under HyBP).
-    pub fn victim_context_switch(&mut self, asid: Asid) {
-        self.step();
-        self.bpu.on_context_switch(self.victim, asid, self.now);
-        // Let any key-table refresh complete (conservative for the attacker).
-        self.now += 2_000;
     }
 
     /// Ground-truth oracle (evaluation only): the physical L2 set `pc` maps

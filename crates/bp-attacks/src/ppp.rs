@@ -36,17 +36,6 @@ pub struct PppParams {
 }
 
 impl PppParams {
-    /// Laptop-scale defaults.
-    pub fn default_scaled() -> Self {
-        PppParams {
-            subsets: 64,
-            repeats: 4,
-            gadget_branches: 700,
-            filler_lines: 700,
-            decision_threshold: 0.12,
-        }
-    }
-
     /// Small geometry for unit tests.
     pub fn quick() -> Self {
         PppParams {

@@ -340,13 +340,6 @@ impl BranchKind {
     pub const fn is_conditional(self) -> bool {
         matches!(self, BranchKind::Conditional)
     }
-
-    /// Whether the branch needs the BTB to supply a target at fetch time.
-    ///
-    /// All taken control transfers do; conditionals only when taken.
-    pub const fn needs_target(self) -> bool {
-        true
-    }
 }
 
 impl fmt::Display for BranchKind {

@@ -13,11 +13,9 @@
 //! under [`std::panic::catch_unwind`], failures are returned as typed
 //! [`TaskFailure`] values in their input slots instead of unwinding the
 //! whole sweep, transient failures are retried on a deterministic
-//! [`RetryPolicy`] schedule, and a poison flag stops workers from claiming
-//! new items once a fatal failure has been observed in
-//! [`FailMode::FailFast`] mode. Both maps share the poison flag: a panic
-//! inside `par_map` likewise stops the remaining workers from *starting*
-//! items that are doomed to be discarded.
+//! [`RetryPolicy`] schedule, and every item is drained no matter how many
+//! fail. `par_map` keeps a poison flag instead: a panic inside it stops the
+//! remaining workers from *starting* items that are doomed to be discarded.
 //!
 //! The pool is std-only ([`std::thread::scope`] plus an atomic work
 //! index) — the workspace builds fully offline and takes no external
@@ -36,12 +34,11 @@
 //! Fail-soft supervision:
 //!
 //! ```
-//! use bp_common::pool::{FailMode, Pool, RetryPolicy, TaskError};
+//! use bp_common::pool::{Pool, RetryPolicy, TaskError};
 //!
 //! let pool = Pool::new(2);
 //! let out = pool.try_par_map(
 //!     &[1u64, 2, 3],
-//!     FailMode::FailSoft,
 //!     &RetryPolicy::none(),
 //!     |_i, &x, _attempt| {
 //!         if x == 2 {
@@ -115,8 +112,8 @@ pub enum FailureKind {
     Panic(String),
     /// The task returned a typed error.
     Error(TaskError),
-    /// The item was never attempted: an earlier fatal failure poisoned the
-    /// pool in [`FailMode::FailFast`] mode before this item was claimed.
+    /// The item produced no result: the worker that claimed it was lost
+    /// before it could store one.
     Skipped,
 }
 
@@ -125,7 +122,9 @@ impl fmt::Display for FailureKind {
         match self {
             FailureKind::Panic(msg) => write!(f, "panicked: {msg}"),
             FailureKind::Error(e) => write!(f, "error: {e}"),
-            FailureKind::Skipped => write!(f, "skipped: pool poisoned by an earlier failure"),
+            FailureKind::Skipped => {
+                write!(f, "skipped: its worker was lost before storing a result")
+            }
         }
     }
 }
@@ -149,17 +148,6 @@ impl fmt::Display for TaskFailure {
             self.index, self.attempts, self.kind
         )
     }
-}
-
-/// What a fatal item failure does to the rest of a supervised sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailMode {
-    /// Poison the pool: items not yet claimed are returned as
-    /// [`FailureKind::Skipped`] instead of being started.
-    FailFast,
-    /// Drain every item regardless of earlier failures; each failure is
-    /// confined to its own slot.
-    FailSoft,
 }
 
 /// Deterministic retry schedule for transient task failures.
@@ -483,18 +471,14 @@ impl Pool {
     /// long: slot `i` holds either item `i`'s result or its
     /// [`TaskFailure`].
     ///
-    /// In [`FailMode::FailFast`] the first terminal failure poisons the
-    /// pool: workers finish the items they already claimed, and every item
-    /// not yet claimed is returned as [`FailureKind::Skipped`] without
-    /// running. In [`FailMode::FailSoft`] all items are drained no matter
-    /// how many fail.
+    /// Every item is drained no matter how many fail; each failure is
+    /// confined to its own slot.
     ///
     /// Never panics (short of a poisoned internal mutex, which a panic
     /// inside `f` cannot cause — `f` runs outside the slot locks).
     pub fn try_par_map<T, R, F>(
         &self,
         items: &[T],
-        mode: FailMode,
         retry: &RetryPolicy,
         f: F,
     ) -> Vec<Result<R, TaskFailure>>
@@ -503,25 +487,11 @@ impl Pool {
         R: Send,
         F: Fn(usize, &T, u32) -> Result<R, TaskError> + Sync,
     {
-        let poisoned = AtomicBool::new(false);
         if self.threads == 1 || items.len() < 2 {
             return items
                 .iter()
                 .enumerate()
-                .map(|(i, item)| {
-                    if mode == FailMode::FailFast && poisoned.load(Ordering::Acquire) {
-                        return Err(TaskFailure {
-                            index: i,
-                            attempts: 0,
-                            kind: FailureKind::Skipped,
-                        });
-                    }
-                    let r = supervise_item(i, item, retry, &self.counters, &f);
-                    if r.is_err() {
-                        poisoned.store(true, Ordering::Release);
-                    }
-                    r
-                })
+                .map(|(i, item)| supervise_item(i, item, retry, &self.counters, &f))
                 .collect();
         }
         let next = AtomicUsize::new(0);
@@ -531,17 +501,11 @@ impl Pool {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    if mode == FailMode::FailFast && poisoned.load(Ordering::Acquire) {
-                        break;
-                    }
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= items.len() {
                         break;
                     }
                     let r = supervise_item(i, &items[i], retry, &self.counters, &f);
-                    if r.is_err() {
-                        poisoned.store(true, Ordering::Release);
-                    }
                     if let Ok(mut slot) = slots[i].lock() {
                         *slot = Some(r);
                     }
@@ -553,8 +517,8 @@ impl Pool {
             .enumerate()
             .map(|(i, slot)| match slot.into_inner() {
                 Ok(Some(r)) => r,
-                // Unclaimed (poison cut the claim loop short) or a worker
-                // died between claim and store: the item never completed.
+                // A worker died between claim and store: the item never
+                // completed.
                 _ => Err(TaskFailure {
                     index: i,
                     attempts: 0,
@@ -692,7 +656,6 @@ mod tests {
         for threads in [1, 4] {
             let out = Pool::new(threads).try_par_map(
                 &(0..20u64).collect::<Vec<_>>(),
-                FailMode::FailSoft,
                 &RetryPolicy::none(),
                 |_i, &x, _attempt| {
                     if x % 5 == 3 {
@@ -717,39 +680,9 @@ mod tests {
     }
 
     #[test]
-    fn try_par_map_fail_fast_skips_unclaimed_items() {
-        // Serial path: deterministic — everything after the fatal item is
-        // skipped without running.
-        let ran = AtomicUsize::new(0);
-        let out = Pool::serial().try_par_map(
-            &(0..10u64).collect::<Vec<_>>(),
-            FailMode::FailFast,
-            &RetryPolicy::none(),
-            |_i, &x, _attempt| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                if x == 2 {
-                    Err(TaskError::fatal("fatal"))
-                } else {
-                    Ok(x)
-                }
-            },
-        );
-        assert_eq!(ran.load(Ordering::SeqCst), 3);
-        assert!(out[0].is_ok() && out[1].is_ok());
-        assert!(matches!(
-            out[2].as_ref().unwrap_err().kind,
-            FailureKind::Error(_)
-        ));
-        for r in &out[3..] {
-            assert_eq!(r.as_ref().unwrap_err().kind, FailureKind::Skipped);
-        }
-    }
-
-    #[test]
     fn try_par_map_catches_panics_in_their_slot() {
         let out = Pool::new(3).try_par_map(
             &(0..8u64).collect::<Vec<_>>(),
-            FailMode::FailSoft,
             &RetryPolicy::none(),
             |_i, &x, _attempt| {
                 if x == 5 {
@@ -769,7 +702,6 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let out = Pool::serial().try_par_map(
             &[7u64],
-            FailMode::FailSoft,
             &RetryPolicy {
                 max_attempts: 3,
                 base_backoff_ms: 0,
@@ -793,7 +725,6 @@ mod tests {
     fn exhausted_retries_report_attempt_count() {
         let out = Pool::serial().try_par_map(
             &[1u64],
-            FailMode::FailSoft,
             &RetryPolicy {
                 max_attempts: 3,
                 base_backoff_ms: 0,
@@ -810,15 +741,11 @@ mod tests {
     #[test]
     fn fatal_errors_are_not_retried() {
         let calls = AtomicUsize::new(0);
-        let _ = Pool::serial().try_par_map(
-            &[1u64],
-            FailMode::FailSoft,
-            &RetryPolicy::standard(9),
-            |_i, _x, _attempt| {
+        let _ =
+            Pool::serial().try_par_map(&[1u64], &RetryPolicy::standard(9), |_i, _x, _attempt| {
                 calls.fetch_add(1, Ordering::SeqCst);
                 Err::<u64, _>(TaskError::fatal("no point retrying"))
-            },
-        );
+            });
         assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 
@@ -846,12 +773,10 @@ mod tests {
     fn try_par_map_matches_par_map_on_clean_sweeps() {
         let items: Vec<u64> = (0..33).collect();
         let plain = Pool::new(4).par_map(&items, |&x| x.wrapping_mul(0x51_7C));
-        let supervised = Pool::new(4).try_par_map(
-            &items,
-            FailMode::FailFast,
-            &RetryPolicy::none(),
-            |_i, &x, _attempt| Ok::<u64, TaskError>(x.wrapping_mul(0x51_7C)),
-        );
+        let supervised =
+            Pool::new(4).try_par_map(&items, &RetryPolicy::none(), |_i, &x, _attempt| {
+                Ok::<u64, TaskError>(x.wrapping_mul(0x51_7C))
+            });
         let supervised: Vec<u64> = supervised.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(plain, supervised);
     }
@@ -862,7 +787,6 @@ mod tests {
         let _ = pool.par_map_indices(5, |i| i);
         let _ = pool.try_par_map(
             &[1u64, 2],
-            FailMode::FailSoft,
             &RetryPolicy {
                 max_attempts: 2,
                 base_backoff_ms: 0,

@@ -4,11 +4,10 @@
 //! hysteresis (strength) bit is shared between pairs of entries — the
 //! paper's geometry is 8 Kbit of prediction bits and 4 Kbit of hysteresis.
 //! Under HyBP this small table is physically isolated per
-//! `(thread, privilege)` slot rather than randomized.
+//! `(thread, privilege)` slot rather than randomized, so it indexes by PC
+//! alone and never goes through a codec.
 
-use crate::codec::{TableCodec, TableId, TableUnit};
-use crate::DirectionPredictor;
-use bp_common::{fast_mod, Addr, Cycle};
+use bp_common::{fast_mod, Addr};
 
 /// Bimodal predictor with shared hysteresis.
 ///
@@ -16,18 +15,14 @@ use bp_common::{fast_mod, Addr, Cycle};
 ///
 /// ```
 /// use bp_predictors::bimodal::Bimodal;
-/// use bp_predictors::codec::IdentityCodec;
-/// use bp_predictors::DirectionPredictor;
 /// use bp_common::Addr;
 ///
 /// let mut p = Bimodal::paper_base();
-/// let mut c = IdentityCodec::new();
 /// let pc = Addr::new(0x1000);
 /// for _ in 0..4 {
-///     let _ = p.predict(pc, &mut c, 0);
-///     p.update(pc, true, &mut c, 0);
+///     p.update(pc, true);
 /// }
-/// assert!(p.predict(pc, &mut c, 0));
+/// assert!(p.predict(pc));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Bimodal {
@@ -36,7 +31,6 @@ pub struct Bimodal {
     /// Hysteresis bits, shared between `1 << hyst_shift` neighbours.
     hyst: Vec<bool>,
     hyst_shift: u32,
-    id: TableId,
 }
 
 /// Prediction entries of the paper's base predictor. `crate::budget` pins
@@ -63,7 +57,6 @@ impl Bimodal {
             pred: vec![false; entries],
             hyst: vec![true; entries >> hyst_shift],
             hyst_shift,
-            id: TableId::new(TableUnit::TageBase, 0),
         }
     }
 
@@ -77,32 +70,18 @@ impl Bimodal {
         self.pred.len()
     }
 
-    fn index<C: TableCodec + ?Sized>(&mut self, pc: Addr, codec: &mut C, now: Cycle) -> usize {
-        let raw = pc.bits(2, 32);
-        fast_mod(
-            codec.transform_index(self.id, raw, pc, now),
-            self.pred.len() as u64,
-        ) as usize
+    fn index(&self, pc: Addr) -> usize {
+        fast_mod(pc.bits(2, 32), self.pred.len() as u64) as usize
     }
 
-    /// Predicts the direction at `pc`. Generic over the codec so concrete
-    /// codecs inline on the hot path; the [`DirectionPredictor`] impl
-    /// forwards the `dyn` entry point here.
-    pub fn predict<C: TableCodec + ?Sized>(&mut self, pc: Addr, codec: &mut C, now: Cycle) -> bool {
-        let i = self.index(pc, codec, now);
-        self.pred[i]
+    /// Predicts the direction at `pc`.
+    pub fn predict(&self, pc: Addr) -> bool {
+        self.pred[self.index(pc)]
     }
 
-    /// Trains the entry at `pc` toward `taken` (generic twin of the
-    /// [`DirectionPredictor`] method).
-    pub fn update<C: TableCodec + ?Sized>(
-        &mut self,
-        pc: Addr,
-        taken: bool,
-        codec: &mut C,
-        now: Cycle,
-    ) {
-        let i = self.index(pc, codec, now);
+    /// Trains the entry at `pc` toward `taken`.
+    pub fn update(&mut self, pc: Addr, taken: bool) {
+        let i = self.index(pc);
         let h = i >> self.hyst_shift;
         // 2-bit counter semantics with a shared strength bit: moving against
         // the prediction first weakens (clears hysteresis), then flips.
@@ -115,23 +94,15 @@ impl Bimodal {
             self.hyst[h] = false;
         }
     }
-}
 
-impl DirectionPredictor for Bimodal {
-    fn predict(&mut self, pc: Addr, codec: &mut dyn TableCodec, now: Cycle) -> bool {
-        Bimodal::predict(self, pc, codec, now)
-    }
-
-    fn update(&mut self, pc: Addr, taken: bool, codec: &mut dyn TableCodec, now: Cycle) {
-        Bimodal::update(self, pc, taken, codec, now)
-    }
-
-    fn flush(&mut self) {
+    /// Resets every entry to weakly not-taken.
+    pub fn flush(&mut self) {
         self.pred.fill(false);
         self.hyst.fill(true);
     }
 
-    fn storage_bits(&self) -> u64 {
+    /// Modeled storage in bits (prediction plus hysteresis bits).
+    pub fn storage_bits(&self) -> u64 {
         (self.pred.len() + self.hyst.len()) as u64
     }
 }
@@ -139,7 +110,6 @@ impl DirectionPredictor for Bimodal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::IdentityCodec;
 
     fn pc(i: u64) -> Addr {
         Addr::new(0x1000 + i * 4)
@@ -148,56 +118,52 @@ mod tests {
     #[test]
     fn learns_a_biased_branch() {
         let mut p = Bimodal::paper_base();
-        let mut c = IdentityCodec::new();
         for _ in 0..4 {
-            p.update(pc(0), true, &mut c, 0);
+            p.update(pc(0), true);
         }
-        assert!(p.predict(pc(0), &mut c, 0));
+        assert!(p.predict(pc(0)));
         for _ in 0..4 {
-            p.update(pc(0), false, &mut c, 0);
+            p.update(pc(0), false);
         }
-        assert!(!p.predict(pc(0), &mut c, 0));
+        assert!(!p.predict(pc(0)));
     }
 
     #[test]
     fn hysteresis_resists_single_anomaly() {
         let mut p = Bimodal::paper_base();
-        let mut c = IdentityCodec::new();
         for _ in 0..4 {
-            p.update(pc(0), true, &mut c, 0);
+            p.update(pc(0), true);
         }
-        p.update(pc(0), false, &mut c, 0); // one glitch: weaken, don't flip
-        assert!(p.predict(pc(0), &mut c, 0));
-        p.update(pc(0), false, &mut c, 0); // second: flip
-        assert!(!p.predict(pc(0), &mut c, 0));
+        p.update(pc(0), false); // one glitch: weaken, don't flip
+        assert!(p.predict(pc(0)));
+        p.update(pc(0), false); // second: flip
+        assert!(!p.predict(pc(0)));
     }
 
     #[test]
     fn shared_hysteresis_couples_neighbours() {
         let mut p = Bimodal::new(16, 1);
-        let mut c = IdentityCodec::new();
         // Entries 0 and 1 share hysteresis bit 0. PCs 0x1000 and 0x1004 map
         // to indices 1024.. — build two PCs mapping to entries 0 and 1.
         let a = Addr::new(0 << 2);
         let b = Addr::new(1 << 2);
         for _ in 0..4 {
-            p.update(a, true, &mut c, 0);
+            p.update(a, true);
         }
         // Strengthened shared bit; one contrary update on b's entry clears
         // the shared hysteresis.
-        p.update(b, true, &mut c, 0);
-        assert!(p.predict(a, &mut c, 0));
+        p.update(b, true);
+        assert!(p.predict(a));
     }
 
     #[test]
     fn flush_resets_to_weakly_not_taken() {
         let mut p = Bimodal::paper_base();
-        let mut c = IdentityCodec::new();
         for _ in 0..4 {
-            p.update(pc(3), true, &mut c, 0);
+            p.update(pc(3), true);
         }
         p.flush();
-        assert!(!p.predict(pc(3), &mut c, 0));
+        assert!(!p.predict(pc(3)));
     }
 
     #[test]

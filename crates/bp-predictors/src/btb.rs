@@ -150,8 +150,6 @@ pub struct BtbTable {
     id: TableId,
     entries: Vec<BtbEntry>,
     replacement: SplitMix64,
-    lookups: u64,
-    hits: u64,
 }
 
 /// What a table insert did: either an empty/duplicate way was used, or a
@@ -177,8 +175,6 @@ impl BtbTable {
             config,
             id,
             replacement: SplitMix64::new(seed),
-            lookups: 0,
-            hits: 0,
         }
     }
 
@@ -198,7 +194,6 @@ impl BtbTable {
         codec: &mut C,
         now: Cycle,
     ) -> Option<u64> {
-        self.lookups += 1;
         let set = fast_mod(
             codec.transform_index(self.id, self.config.raw_index(pc), pc, now),
             self.config.sets as u64,
@@ -208,7 +203,6 @@ impl BtbTable {
         for way in 0..self.config.ways {
             let e = &self.entries[set * self.config.ways + way];
             if e.valid && e.tag == tag {
-                self.hits += 1;
                 return Some(codec.decode_content(self.id, e.encoded_content));
             }
         }
@@ -312,11 +306,6 @@ impl BtbTable {
     /// Number of valid entries (test/analysis helper).
     pub fn occupancy(&self) -> usize {
         self.entries.iter().filter(|e| e.valid).count()
-    }
-
-    /// (lookups, hits) counters since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.lookups, self.hits)
     }
 }
 
@@ -705,7 +694,6 @@ mod tests {
         assert_eq!(t.lookup(pc(0), &mut c, 0), None);
         t.insert(pc(0), 0xABCD, &mut c, 0);
         assert_eq!(t.lookup(pc(0), &mut c, 0), Some(0xABCD));
-        assert_eq!(t.stats(), (2, 1));
     }
 
     #[test]

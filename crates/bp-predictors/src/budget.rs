@@ -76,7 +76,6 @@ mod tests {
     use crate::sc::ScConfig;
     use crate::tage::TageConfig;
     use crate::tage_scl::TageScL;
-    use crate::DirectionPredictor;
 
     #[test]
     fn tage_storage_matches_the_declared_budget() {

@@ -1,10 +1,12 @@
 //! The security interposition hook for predictor tables.
 //!
-//! Every table access (BTB levels, TAGE base and tagged tables) routes its
-//! set index, its tag, and the stored content through a [`TableCodec`]. The
-//! baseline uses [`IdentityCodec`]; the `hybp` crate provides a codec that
-//! implements the paper's randomization: index transformation through the
-//! per-domain keys table and content XOR with the content key.
+//! Every access to a table a mechanism can randomize (the BTB levels and the
+//! TAGE tagged tables) routes its set index, its tag, and the stored content
+//! through a [`TableCodec`]. The small isolated tables (TAGE base, SC, loop
+//! predictor) never reach the hook. The baseline uses [`IdentityCodec`]; the
+//! `hybp` crate provides a codec that implements the paper's randomization:
+//! index transformation through the per-domain keys table and content XOR
+//! with the content key.
 //!
 //! Keeping the hook here (and key management in `bp-crypto`/`hybp`) means
 //! the predictor structures stay faithful models of the underlying hardware
@@ -15,27 +17,19 @@ use std::fmt;
 
 /// Which predictor structure a table access belongs to.
 ///
-/// Codecs use this to decide whether a table is randomized (the big,
-/// last-level structures under HyBP) or left alone (the physically isolated
-/// small structures).
+/// Codecs use this, with the level, to decide whether a table is randomized
+/// (the L2 BTB and the tagged tables under HyBP) or left alone (the
+/// physically isolated L0/L1 BTB).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TableUnit {
     /// A BTB level (0, 1 or 2).
     Btb,
-    /// The TAGE base bimodal predictor.
-    TageBase,
     /// A TAGE tagged table.
     TageTagged,
-    /// The statistical corrector tables.
-    StatisticalCorrector,
-    /// The loop predictor table.
-    LoopPredictor,
-    /// Tournament predictor structures (baseline comparisons only).
-    Tournament,
 }
 
 /// Identifies a concrete table: the unit plus its level/index within the
-/// unit (BTB level 0..=2, TAGE tagged table 0..N, ...).
+/// unit (BTB level 0..=2, TAGE tagged table 0..N).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId {
     /// The structure family.
@@ -137,7 +131,7 @@ mod tests {
         let mut set = BTreeSet::new();
         set.insert(TableId::new(TableUnit::Btb, 0));
         set.insert(TableId::new(TableUnit::Btb, 1));
-        set.insert(TableId::new(TableUnit::TageBase, 0));
+        set.insert(TableId::new(TableUnit::TageTagged, 0));
         assert_eq!(set.len(), 3);
     }
 }

@@ -6,12 +6,16 @@
 //! used by the paper as a reference point for how much performance modern
 //! predictors are worth (§VII-F).
 //!
-//! Security layering is done through the [`codec::TableCodec`] hook: every
-//! table access routes its set index, tag and stored content through the
-//! codec, so the `hybp` crate can interpose encryption without the predictor
-//! structures knowing anything about keys. The default
-//! [`codec::IdentityCodec`] makes the structures behave like conventional
-//! unprotected hardware.
+//! Security layering is done through the [`codec::TableCodec`] hook. It
+//! reaches only the tables a mechanism can randomize: every BTB level (all
+//! three share one code path, and entries migrate between levels) and the
+//! TAGE tagged tables route their set index, tag and stored content through
+//! the codec, so the `hybp` crate can interpose encryption without the
+//! predictor structures knowing anything about keys. The small tables (the
+//! TAGE base, the statistical corrector, the loop predictor) and the
+//! tournament predictor are protected by isolation or not at all, so they
+//! index by PC and history alone. The default [`codec::IdentityCodec`]
+//! makes the structures behave like conventional unprotected hardware.
 //!
 //! # Examples
 //!
@@ -39,27 +43,3 @@ pub mod sc;
 pub mod tage;
 pub mod tage_scl;
 pub mod tournament;
-
-use bp_common::{Addr, Cycle};
-
-/// A direction predictor: predicts taken/not-taken for conditional branches.
-///
-/// Implemented by [`tage_scl::TageScL`], [`tournament::Tournament`] and
-/// [`bimodal::Bimodal`]. The `codec` gives the security layer a chance to
-/// transform table indices/tags/contents; `now` is the current cycle (used
-/// by codecs that model in-flight key refreshes).
-pub trait DirectionPredictor: std::fmt::Debug {
-    /// Predicts the direction of the conditional branch at `pc`.
-    fn predict(&mut self, pc: Addr, codec: &mut dyn codec::TableCodec, now: Cycle) -> bool;
-
-    /// Trains the predictor with the resolved outcome. Must be called once
-    /// per predicted branch, after `predict`, with the same `pc`.
-    fn update(&mut self, pc: Addr, taken: bool, codec: &mut dyn codec::TableCodec, now: Cycle);
-
-    /// Clears all prediction state (the Flush defense and context-switch
-    /// flushes of physically isolated tables).
-    fn flush(&mut self);
-
-    /// Total modeled storage in bits (used by the hardware cost model).
-    fn storage_bits(&self) -> u64;
-}

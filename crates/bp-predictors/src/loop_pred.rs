@@ -3,10 +3,10 @@
 //! Detects branches that behave as loop exits with a constant trip count
 //! (taken N−1 times, then not-taken once, repeatedly) and predicts them
 //! perfectly once confident — a pattern global history predictors handle
-//! poorly when N is large.
+//! poorly when N is large. Under HyBP the table is physically isolated per
+//! slot, so it indexes and tags by PC alone and takes no codec.
 
-use crate::codec::{TableCodec, TableId, TableUnit};
-use bp_common::{fast_mod, Addr, Cycle};
+use bp_common::{fast_mod, Addr};
 
 /// One loop predictor entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,7 +25,6 @@ struct LoopEntry {
 #[derive(Debug, Clone)]
 pub struct LoopPredictor {
     entries: Vec<LoopEntry>,
-    id: TableId,
     /// Confidence needed before predictions are used.
     confidence_threshold: u8,
 }
@@ -65,7 +64,6 @@ impl LoopPredictor {
         assert!(entries.is_power_of_two(), "entries must be a power of two");
         LoopPredictor {
             entries: vec![LoopEntry::default(); entries],
-            id: TableId::new(TableUnit::LoopPredictor, 0),
             confidence_threshold: 3,
         }
     }
@@ -75,24 +73,15 @@ impl LoopPredictor {
         LoopPredictor::new(SCL_LOOP_ENTRIES)
     }
 
-    fn slot<C: TableCodec + ?Sized>(&self, pc: Addr, codec: &mut C, now: Cycle) -> (usize, u16) {
-        let raw = pc.bits(2, 32);
-        let idx = fast_mod(
-            codec.transform_index(self.id, raw, pc, now),
-            self.entries.len() as u64,
-        ) as usize;
-        let tag = (codec.transform_tag(self.id, pc.bits(2, 10), pc, now) & 0x3FF) as u16;
+    fn slot(&self, pc: Addr) -> (usize, u16) {
+        let idx = fast_mod(pc.bits(2, 32), self.entries.len() as u64) as usize;
+        let tag = (pc.bits(2, 10) & 0x3FF) as u16;
         (idx, tag)
     }
 
     /// Consults the predictor. Confident only for learned constant-trip loops.
-    pub fn consult<C: TableCodec + ?Sized>(
-        &mut self,
-        pc: Addr,
-        codec: &mut C,
-        now: Cycle,
-    ) -> LoopVerdict {
-        let (idx, tag) = self.slot(pc, codec, now);
+    pub fn consult(&self, pc: Addr) -> LoopVerdict {
+        let (idx, tag) = self.slot(pc);
         let e = &self.entries[idx];
         if e.valid && e.tag == tag && e.confidence >= self.confidence_threshold {
             LoopVerdict {
@@ -108,14 +97,8 @@ impl LoopPredictor {
     }
 
     /// Trains with the resolved outcome.
-    pub fn train<C: TableCodec + ?Sized>(
-        &mut self,
-        pc: Addr,
-        taken: bool,
-        codec: &mut C,
-        now: Cycle,
-    ) {
-        let (idx, tag) = self.slot(pc, codec, now);
+    pub fn train(&mut self, pc: Addr, taken: bool) {
+        let (idx, tag) = self.slot(pc);
         let e = &mut self.entries[idx];
         if !e.valid || e.tag != tag {
             // (Re)allocate on a not-taken outcome: loop exits are where trip
@@ -167,17 +150,15 @@ impl LoopPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::IdentityCodec;
 
     /// Drives a constant-trip loop: taken `trip-1` times, then not-taken.
     fn run_loop(lp: &mut LoopPredictor, pc: Addr, trip: u16, iterations: usize) -> (usize, usize) {
-        let mut c = IdentityCodec::new();
         let mut correct = 0;
         let mut confident_correct = 0;
         for _ in 0..iterations {
             for i in 0..trip {
                 let taken = i + 1 < trip;
-                let v = lp.consult(pc, &mut c, 0);
+                let v = lp.consult(pc);
                 if v.confident {
                     if v.taken == taken {
                         confident_correct += 1;
@@ -186,7 +167,7 @@ mod tests {
                 } else if taken {
                     correct += 1; // default "taken" guess
                 }
-                lp.train(pc, taken, &mut c, 0);
+                lp.train(pc, taken);
             }
         }
         (correct, confident_correct)
@@ -198,17 +179,16 @@ mod tests {
         let pc = Addr::new(0x100);
         // Warm up enough exits to gain confidence, then measure.
         run_loop(&mut lp, pc, 10, 6);
-        let mut c = IdentityCodec::new();
         let mut mispredicts = 0;
         for _ in 0..20 {
             for i in 0..10u16 {
                 let taken = i + 1 < 10;
-                let v = lp.consult(pc, &mut c, 0);
+                let v = lp.consult(pc);
                 assert!(v.confident, "must be confident after warmup");
                 if v.taken != taken {
                     mispredicts += 1;
                 }
-                lp.train(pc, taken, &mut c, 0);
+                lp.train(pc, taken);
             }
         }
         assert_eq!(mispredicts, 0, "constant loop must be perfect");
@@ -219,13 +199,12 @@ mod tests {
         let mut lp = LoopPredictor::default_scl();
         let pc = Addr::new(0x200);
         run_loop(&mut lp, pc, 8, 6);
-        let mut c = IdentityCodec::new();
-        assert!(lp.consult(pc, &mut c, 0).confident);
+        assert!(lp.consult(pc).confident);
         // Now run trips of a different length.
         run_loop(&mut lp, pc, 13, 1);
         // After a wrong exit the confidence resets; it must not be instantly
         // confident about the old count.
-        let v = lp.consult(pc, &mut c, 0);
+        let v = lp.consult(pc);
         // (may be re-learning; just assert no stale confident-wrong state)
         if v.confident {
             assert!(v.taken, "a confident prediction mid-loop must be taken");
@@ -234,9 +213,8 @@ mod tests {
 
     #[test]
     fn unconfident_by_default() {
-        let mut lp = LoopPredictor::default_scl();
-        let mut c = IdentityCodec::new();
-        let v = lp.consult(Addr::new(0x300), &mut c, 0);
+        let lp = LoopPredictor::default_scl();
+        let v = lp.consult(Addr::new(0x300));
         assert!(!v.confident);
     }
 
@@ -245,9 +223,8 @@ mod tests {
         let mut lp = LoopPredictor::default_scl();
         let pc = Addr::new(0x400);
         run_loop(&mut lp, pc, 6, 8);
-        let mut c = IdentityCodec::new();
-        assert!(lp.consult(pc, &mut c, 0).confident);
+        assert!(lp.consult(pc).confident);
         lp.flush();
-        assert!(!lp.consult(pc, &mut c, 0).confident);
+        assert!(!lp.consult(pc).confident);
     }
 }

@@ -5,11 +5,11 @@
 //! when the provider is statistically unreliable: it computes a weighted
 //! vote and, when its confidence exceeds a dynamic threshold, overrides weak
 //! TAGE outputs. This is a faithful simplification of Seznec's CBP-5
-//! TAGE-SC-L corrector, scaled to the paper's storage budget.
+//! TAGE-SC-L corrector, scaled to the paper's storage budget. Under HyBP
+//! the corrector is physically isolated per slot, so it takes no codec.
 
-use crate::codec::{TableCodec, TableId, TableUnit};
 use bp_common::history::GlobalHistory;
-use bp_common::{fast_mod, Addr, Cycle};
+use bp_common::{fast_mod, Addr};
 
 /// Configuration of the statistical corrector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,14 +97,7 @@ impl StatisticalCorrector {
         Self::new(ScConfig::default_scl())
     }
 
-    fn index<C: TableCodec + ?Sized>(
-        &self,
-        comp: usize,
-        pc: Addr,
-        history: &GlobalHistory,
-        codec: &mut C,
-        now: Cycle,
-    ) -> usize {
+    fn index(&self, comp: usize, pc: Addr, history: &GlobalHistory) -> usize {
         let hist_len = self.config.history_lens[comp];
         let h = if hist_len == 0 {
             0
@@ -112,26 +105,15 @@ impl StatisticalCorrector {
             history.low_bits(hist_len.min(64))
         };
         let raw = (pc.raw() >> 2) ^ h ^ ((h >> 7) << 1) ^ (comp as u64) << 3;
-        let id = TableId::new(TableUnit::StatisticalCorrector, comp);
-        fast_mod(
-            codec.transform_index(id, raw, pc, now),
-            self.config.entries as u64,
-        ) as usize
+        fast_mod(raw, self.config.entries as u64) as usize
     }
 
     /// Computes the corrector's vote for `pc`, biased by the TAGE
     /// prediction (`tage_taken` contributes to the sum as in the reference).
-    pub fn consult<C: TableCodec + ?Sized>(
-        &mut self,
-        pc: Addr,
-        tage_taken: bool,
-        history: &GlobalHistory,
-        codec: &mut C,
-        now: Cycle,
-    ) -> ScVerdict {
+    pub fn consult(&self, pc: Addr, tage_taken: bool, history: &GlobalHistory) -> ScVerdict {
         let mut sum: i32 = if tage_taken { 8 } else { -8 };
         for comp in 0..self.tables.len() {
-            let i = self.index(comp, pc, history, codec, now);
+            let i = self.index(comp, pc, history);
             sum += i32::from(self.tables[comp][i]) * 2 + 1;
         }
         ScVerdict {
@@ -144,20 +126,12 @@ impl StatisticalCorrector {
     /// Trains the corrector with the outcome. Counters are updated whenever
     /// the vote was weak or wrong; the threshold adapts toward the point
     /// where overrides are net-positive.
-    pub fn train<C: TableCodec + ?Sized>(
-        &mut self,
-        pc: Addr,
-        taken: bool,
-        verdict: ScVerdict,
-        history: &GlobalHistory,
-        codec: &mut C,
-        now: Cycle,
-    ) {
+    pub fn train(&mut self, pc: Addr, taken: bool, verdict: ScVerdict, history: &GlobalHistory) {
         let max = (1i8 << (self.config.ctr_bits - 1)) - 1;
         let min = -(1i8 << (self.config.ctr_bits - 1));
         if verdict.taken != taken || verdict.sum.abs() <= self.threshold * 2 {
             for comp in 0..self.tables.len() {
-                let i = self.index(comp, pc, history, codec, now);
+                let i = self.index(comp, pc, history);
                 let c = &mut self.tables[comp][i];
                 *c = if taken {
                     (*c + 1).min(max)
@@ -202,21 +176,19 @@ impl StatisticalCorrector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::IdentityCodec;
 
     #[test]
     fn corrector_learns_to_oppose_bad_tage() {
         // TAGE always says taken; the branch is always not-taken. After
         // training, the corrector must vote not-taken confidently.
         let mut sc = StatisticalCorrector::default_scl();
-        let mut c = IdentityCodec::new();
         let h = GlobalHistory::new();
         let pc = Addr::new(0x500);
         for _ in 0..200 {
-            let v = sc.consult(pc, true, &h, &mut c, 0);
-            sc.train(pc, false, v, &h, &mut c, 0);
+            let v = sc.consult(pc, true, &h);
+            sc.train(pc, false, v, &h);
         }
-        let v = sc.consult(pc, true, &h, &mut c, 0);
+        let v = sc.consult(pc, true, &h);
         assert!(!v.taken, "corrector should oppose the wrong TAGE output");
         assert!(v.confident);
     }
@@ -224,28 +196,26 @@ mod tests {
     #[test]
     fn corrector_agrees_with_good_tage() {
         let mut sc = StatisticalCorrector::default_scl();
-        let mut c = IdentityCodec::new();
         let h = GlobalHistory::new();
         let pc = Addr::new(0x700);
         for _ in 0..100 {
-            let v = sc.consult(pc, true, &h, &mut c, 0);
-            sc.train(pc, true, v, &h, &mut c, 0);
+            let v = sc.consult(pc, true, &h);
+            sc.train(pc, true, v, &h);
         }
-        assert!(sc.consult(pc, true, &h, &mut c, 0).taken);
+        assert!(sc.consult(pc, true, &h).taken);
     }
 
     #[test]
     fn flush_resets_votes() {
         let mut sc = StatisticalCorrector::default_scl();
-        let mut c = IdentityCodec::new();
         let h = GlobalHistory::new();
         let pc = Addr::new(0x900);
         for _ in 0..200 {
-            let v = sc.consult(pc, true, &h, &mut c, 0);
-            sc.train(pc, false, v, &h, &mut c, 0);
+            let v = sc.consult(pc, true, &h);
+            sc.train(pc, false, v, &h);
         }
         sc.flush();
-        let v = sc.consult(pc, true, &h, &mut c, 0);
+        let v = sc.consult(pc, true, &h);
         assert!(v.taken, "flushed corrector follows TAGE's bias term");
     }
 

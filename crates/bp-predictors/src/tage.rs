@@ -18,7 +18,6 @@
 
 use crate::bimodal::Bimodal;
 use crate::codec::{TableCodec, TableId, TableUnit};
-use crate::DirectionPredictor;
 use bp_common::history::{GlobalHistory, PathHistory};
 use bp_common::rng::SplitMix64;
 use bp_common::{fast_mod, fast_mod_usize, Addr, Cycle};
@@ -404,9 +403,9 @@ impl Tage {
     /// Detailed prediction for a branch executing in `slot`.
     ///
     /// Generic over the codec so concrete codecs (HyBP's QARMA-backed codec,
-    /// the identity codec) inline their transforms into the table walk; the
-    /// [`DirectionPredictor`] impl forwards the `dyn` entry point here. The
-    /// walk itself is allocation-free: the provider/alternate search tracks
+    /// the identity codec) inline their transforms into the table walk. Only
+    /// the tagged tables go through the codec; the base predictor is
+    /// isolated per slot and indexed by PC alone. The walk itself is allocation-free: the provider/alternate search tracks
     /// the last two matching tables in scalars instead of a match list.
     ///
     /// # Panics
@@ -446,7 +445,7 @@ impl Tage {
                 match_count += 1;
             }
         }
-        let base_pred = self.bases[slot_b].predict(pc, codec, now);
+        let base_pred = self.bases[slot_b].predict(pc);
         let (provider, alt) = match match_count {
             0 => (None, None),
             1 => (Some(last_match), None),
@@ -562,13 +561,13 @@ impl Tage {
             };
         } else {
             let b = fast_mod_usize(slot, self.bases.len());
-            self.bases[b].update(pc, taken, codec, now);
+            self.bases[b].update(pc, taken);
         }
         // Keep the base warm while the provider is weak (cheap stand-in for
         // TAGE's alternate update policy).
         if provider != usize::MAX && state.pred.weak {
             let b = fast_mod_usize(slot, self.bases.len());
-            self.bases[b].update(pc, taken, codec, now);
+            self.bases[b].update(pc, taken);
         }
 
         // Allocation on misprediction in a longer-history table.
@@ -678,24 +677,6 @@ impl Tage {
     }
 }
 
-impl DirectionPredictor for Tage {
-    fn predict(&mut self, pc: Addr, codec: &mut dyn TableCodec, now: Cycle) -> bool {
-        self.predict_slot(pc, 0, codec, now).taken
-    }
-
-    fn update(&mut self, pc: Addr, taken: bool, codec: &mut dyn TableCodec, now: Cycle) {
-        self.update_slot(pc, 0, taken, codec, now);
-    }
-
-    fn flush(&mut self) {
-        self.flush_all();
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.storage_bits_with_slots()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -716,11 +697,11 @@ mod tests {
             for &p in pcs {
                 let pc = Addr::new(p);
                 let t = outcome(step);
-                let pred = tage.predict(pc, &mut c, step);
+                let pred = tage.predict_slot(pc, 0, &mut c, step).taken;
                 if pred == t {
                     correct += 1;
                 }
-                tage.update(pc, t, &mut c, step);
+                tage.update_slot(pc, 0, t, &mut c, step);
                 step += 1;
                 total += 1;
             }
@@ -766,14 +747,14 @@ mod tests {
             let a = rng.chance(0.5);
             let b = a_prev;
             for (pc, outcome) in [(Addr::new(0x100), a), (Addr::new(0x200), b)] {
-                if tage.predict(pc, &mut c, step) == outcome {
+                if tage.predict_slot(pc, 0, &mut c, step).taken == outcome {
                     tage_ok += 1;
                 }
-                tage.update(pc, outcome, &mut c, step);
-                if bimodal.predict(pc, &mut c, step) == outcome {
+                tage.update_slot(pc, 0, outcome, &mut c, step);
+                if bimodal.predict(pc) == outcome {
                     bi_ok += 1;
                 }
-                bimodal.update(pc, outcome, &mut c, step);
+                bimodal.update(pc, outcome);
                 total += 1;
             }
             a_prev = a;
@@ -850,7 +831,7 @@ mod tests {
         let mut tage = Tage::paper_scl();
         let mut c = IdentityCodec::new();
         // Must not panic even without a preceding predict.
-        tage.update(Addr::new(0x4000), true, &mut c, 0);
+        tage.update_slot(Addr::new(0x4000), 0, true, &mut c, 0);
     }
 
     #[test]
@@ -866,14 +847,14 @@ mod tests {
             for (i, &p) in pcs.iter().enumerate() {
                 let pc = Addr::new(p);
                 let t = biases[i] ^ (rng.chance(0.05));
-                if big.predict(pc, &mut c, round) == t {
+                if big.predict_slot(pc, 0, &mut c, round).taken == t {
                     big_ok += 1;
                 }
-                big.update(pc, t, &mut c, round);
-                if small.predict(pc, &mut c, round) == t {
+                big.update_slot(pc, 0, t, &mut c, round);
+                if small.predict_slot(pc, 0, &mut c, round).taken == t {
                     small_ok += 1;
                 }
-                small.update(pc, t, &mut c, round);
+                small.update_slot(pc, 0, t, &mut c, round);
                 total += 1;
             }
         }

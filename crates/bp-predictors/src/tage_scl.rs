@@ -8,13 +8,13 @@
 //! Like [`Tage`], the predictor supports isolation slots: the small
 //! structures (base predictor, corrector, loop table, history registers) are
 //! replicated per slot — under HyBP these are the physically isolated
-//! components — while the large tagged tables stay shared.
+//! components — while the large tagged tables stay shared. Only the tagged
+//! tables reach the codec.
 
 use crate::codec::TableCodec;
 use crate::loop_pred::LoopPredictor;
 use crate::sc::StatisticalCorrector;
 use crate::tage::{Tage, TageConfig};
-use crate::DirectionPredictor;
 use bp_common::history::GlobalHistory;
 use bp_common::{fast_mod_usize, Addr, Cycle};
 
@@ -25,17 +25,16 @@ use bp_common::{fast_mod_usize, Addr, Cycle};
 /// ```
 /// use bp_predictors::tage_scl::TageScL;
 /// use bp_predictors::codec::IdentityCodec;
-/// use bp_predictors::DirectionPredictor;
 /// use bp_common::Addr;
 ///
 /// let mut p = TageScL::paper_default();
 /// let mut c = IdentityCodec::new();
+/// let pc = Addr::new(0x4000);
 /// for step in 0..100u64 {
-///     let pc = Addr::new(0x4000);
-///     let _ = p.predict(pc, &mut c, step);
-///     p.update(pc, true, &mut c, step);
+///     let _ = p.predict_slot(pc, 0, &mut c, step);
+///     p.update_slot(pc, 0, true, &mut c, step);
 /// }
-/// assert!(p.predict(Addr::new(0x4000), &mut c, 100));
+/// assert!(p.predict_slot(pc, 0, &mut c, 100));
 /// ```
 #[derive(Debug, Clone)]
 pub struct TageScL {
@@ -99,8 +98,7 @@ impl TageScL {
     }
 
     /// Predicts for a branch executing in `slot`. Generic over the codec so
-    /// concrete codecs inline through the whole TAGE-SC-L stack; `dyn`
-    /// callers keep working (`dyn TableCodec` implements `TableCodec`).
+    /// concrete codecs inline into the tagged-table walk.
     ///
     /// # Panics
     ///
@@ -114,9 +112,9 @@ impl TageScL {
     ) -> bool {
         let si = fast_mod_usize(slot, self.sc.len());
         let hi = fast_mod_usize(slot, self.histories.len());
-        let lv = self.loop_pred[si].consult(pc, codec, now);
+        let lv = self.loop_pred[si].consult(pc);
         let tage_pred = self.tage.predict_slot(pc, slot, codec, now);
-        let sc = self.sc[si].consult(pc, tage_pred.taken, &self.histories[hi], codec, now);
+        let sc = self.sc[si].consult(pc, tage_pred.taken, &self.histories[hi]);
         self.last_sc = Some((pc.raw(), slot, sc));
         if lv.confident {
             return lv.taken;
@@ -142,10 +140,10 @@ impl TageScL {
     ) {
         let si = fast_mod_usize(slot, self.sc.len());
         let hi = fast_mod_usize(slot, self.histories.len());
-        self.loop_pred[si].train(pc, taken, codec, now);
+        self.loop_pred[si].train(pc, taken);
         if let Some((saved_pc, saved_slot, verdict)) = self.last_sc.take() {
             if saved_pc == pc.raw() && saved_slot == slot {
-                self.sc[si].train(pc, taken, verdict, &self.histories[hi], codec, now);
+                self.sc[si].train(pc, taken, verdict, &self.histories[hi]);
             }
         }
         self.tage.update_slot(pc, slot, taken, codec, now);
@@ -162,6 +160,22 @@ impl TageScL {
         self.sc[si].flush();
         self.loop_pred[si].flush();
         self.histories[hi].clear();
+        self.last_sc = None;
+    }
+
+    /// Clears every component of every slot, shared tagged tables included
+    /// (the Flush defense, and Partition/Replication's per-slot flush).
+    pub fn flush_all(&mut self) {
+        self.tage.flush_all();
+        for s in &mut self.sc {
+            s.flush();
+        }
+        for l in &mut self.loop_pred {
+            l.flush();
+        }
+        for h in &mut self.histories {
+            h.clear();
+        }
         self.last_sc = None;
     }
 
@@ -190,34 +204,6 @@ impl TageScL {
     }
 }
 
-impl DirectionPredictor for TageScL {
-    fn predict(&mut self, pc: Addr, codec: &mut dyn TableCodec, now: Cycle) -> bool {
-        self.predict_slot(pc, 0, codec, now)
-    }
-
-    fn update(&mut self, pc: Addr, taken: bool, codec: &mut dyn TableCodec, now: Cycle) {
-        self.update_slot(pc, 0, taken, codec, now);
-    }
-
-    fn flush(&mut self) {
-        self.tage.flush_all();
-        for s in &mut self.sc {
-            s.flush();
-        }
-        for l in &mut self.loop_pred {
-            l.flush();
-        }
-        for h in &mut self.histories {
-            h.clear();
-        }
-        self.last_sc = None;
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.storage_bits_with_slots()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,10 +215,10 @@ mod tests {
         let mut ok = 0u64;
         for s in 0..n {
             let t = f(s);
-            if p.predict(Addr::new(pc), &mut c, s) == t {
+            if p.predict_slot(Addr::new(pc), 0, &mut c, s) == t {
                 ok += 1;
             }
-            p.update(Addr::new(pc), t, &mut c, s);
+            p.update_slot(Addr::new(pc), 0, t, &mut c, s);
         }
         ok as f64 / n as f64
     }
@@ -274,10 +260,10 @@ mod tests {
                     1 => !(round + b as u64).is_multiple_of(3),
                     _ => rng.chance(0.5),
                 };
-                if p.predict(pc, &mut c, round) == t {
+                if p.predict_slot(pc, 0, &mut c, round) == t {
                     ok += 1;
                 }
-                p.update(pc, t, &mut c, round);
+                p.update_slot(pc, 0, t, &mut c, round);
                 total += 1;
             }
         }
@@ -290,9 +276,9 @@ mod tests {
         let mut p = TageScL::paper_default();
         let a1 = accuracy(&mut p, 0x300, 3000, |s| s % 2 == 0);
         assert!(a1 > 0.9);
-        p.flush();
+        p.flush_all();
         let mut c = IdentityCodec::new();
-        let cold = p.predict(Addr::new(0x300), &mut c, 0);
+        let cold = p.predict_slot(Addr::new(0x300), 0, &mut c, 0);
         assert!(!cold, "cold bimodal default is not-taken");
     }
 
@@ -316,7 +302,7 @@ mod tests {
     #[test]
     fn storage_includes_all_components() {
         let p = TageScL::paper_default();
-        let kb = p.storage_bits() as f64 / 8.0 / 1024.0;
+        let kb = p.storage_bits_with_slots() as f64 / 8.0 / 1024.0;
         assert!((38.0..75.0).contains(&kb), "TAGE-SC-L storage {kb} KB");
         // Isolated share: base (12 Kbit) + SC + loop ≈ 4.5 KB class.
         let iso_kb = p.isolated_slot_storage_bits() as f64 / 8.0 / 1024.0;

@@ -4,11 +4,10 @@
 //! TAGE-SC-L buys ≈ 5.4% performance over it in their setup (§VII-F), which
 //! is why single-digit protection overheads matter. This implementation
 //! provides that comparison point: a local-history predictor, a gshare-style
-//! global predictor, and a chooser.
+//! global predictor, and a chooser. No mechanism randomizes it, so it takes
+//! no codec.
 
-use crate::codec::{TableCodec, TableId, TableUnit};
-use crate::DirectionPredictor;
-use bp_common::{fast_mod, Addr, Cycle};
+use bp_common::{fast_mod, Addr};
 
 fn bump(c: &mut u8, taken: bool, max: u8) {
     if taken {
@@ -56,7 +55,6 @@ pub struct Tournament {
     /// Chooser 2-bit counters: ≥2 selects global.
     chooser: Vec<u8>,
     global_history: u64,
-    id: TableId,
     last: Option<(u64, bool, bool)>,
 }
 
@@ -77,7 +75,6 @@ impl Tournament {
             global_ctr: vec![1; config.global_entries],
             chooser: vec![2; config.chooser_entries],
             global_history: 0,
-            id: TableId::new(TableUnit::Tournament, 0),
             last: None,
             config,
         }
@@ -88,43 +85,25 @@ impl Tournament {
         Tournament::new(TournamentConfig::alpha_like())
     }
 
-    fn local_index<C: TableCodec + ?Sized>(
-        &mut self,
-        pc: Addr,
-        codec: &mut C,
-        now: Cycle,
-    ) -> usize {
-        let raw = pc.bits(2, 32);
-        fast_mod(
-            codec.transform_index(self.id, raw, pc, now),
-            self.config.local_entries as u64,
-        ) as usize
+    fn local_index(&self, pc: Addr) -> usize {
+        fast_mod(pc.bits(2, 32), self.config.local_entries as u64) as usize
     }
 
-    fn global_index<C: TableCodec + ?Sized>(
-        &mut self,
-        pc: Addr,
-        codec: &mut C,
-        now: Cycle,
-    ) -> usize {
+    fn global_index(&self, pc: Addr) -> usize {
         let raw = pc.bits(2, 32) ^ self.global_history;
-        fast_mod(
-            codec.transform_index(self.id, raw, pc, now),
-            self.config.global_entries as u64,
-        ) as usize
+        fast_mod(raw, self.config.global_entries as u64) as usize
     }
 
     fn chooser_index(&self) -> usize {
         fast_mod(self.global_history, self.config.chooser_entries as u64) as usize
     }
 
-    /// Predicts the direction at `pc` (generic twin of the
-    /// [`DirectionPredictor`] method, so concrete codecs inline).
-    pub fn predict<C: TableCodec + ?Sized>(&mut self, pc: Addr, codec: &mut C, now: Cycle) -> bool {
-        let li = self.local_index(pc, codec, now);
+    /// Predicts the direction at `pc`.
+    pub fn predict(&mut self, pc: Addr) -> bool {
+        let li = self.local_index(pc);
         let lh = self.local_history[li] as usize & ((1 << self.config.local_history_bits) - 1);
         let local_pred = self.local_ctr[lh] >= 4;
-        let gi = self.global_index(pc, codec, now);
+        let gi = self.global_index(pc);
         let global_pred = self.global_ctr[gi] >= 2;
         let use_global = self.chooser[self.chooser_index()] >= 2;
         let pred = if use_global { global_pred } else { local_pred };
@@ -132,19 +111,13 @@ impl Tournament {
         pred
     }
 
-    /// Trains toward `taken` (generic twin of the [`DirectionPredictor`]
-    /// method).
-    pub fn update<C: TableCodec + ?Sized>(
-        &mut self,
-        pc: Addr,
-        taken: bool,
-        codec: &mut C,
-        now: Cycle,
-    ) {
+    /// Trains toward `taken`; must follow [`Tournament::predict`] for the
+    /// same branch (a lost lookup is recomputed).
+    pub fn update(&mut self, pc: Addr, taken: bool) {
         let (local_pred, global_pred) = match self.last.take() {
             Some((saved, l, g)) if saved == pc.raw() => (l, g),
             _ => {
-                let _ = self.predict(pc, codec, now);
+                let _ = self.predict(pc);
                 match self.last.take() {
                     Some((_, l, g)) => (l, g),
                     // predict() always stores lookup state; stay total and
@@ -162,27 +135,18 @@ impl Tournament {
             let ci = self.chooser_index();
             bump(&mut self.chooser[ci], global_pred == taken, 3);
         }
-        let li = self.local_index(pc, codec, now);
+        let li = self.local_index(pc);
         let lh_mask = (1u16 << self.config.local_history_bits) - 1;
         let lh = (self.local_history[li] & lh_mask) as usize;
         bump(&mut self.local_ctr[lh], taken, 7);
         self.local_history[li] = ((self.local_history[li] << 1) | u16::from(taken)) & lh_mask;
-        let gi = self.global_index(pc, codec, now);
+        let gi = self.global_index(pc);
         bump(&mut self.global_ctr[gi], taken, 3);
         self.global_history = (self.global_history << 1) | u64::from(taken);
     }
-}
 
-impl DirectionPredictor for Tournament {
-    fn predict(&mut self, pc: Addr, codec: &mut dyn TableCodec, now: Cycle) -> bool {
-        Tournament::predict(self, pc, codec, now)
-    }
-
-    fn update(&mut self, pc: Addr, taken: bool, codec: &mut dyn TableCodec, now: Cycle) {
-        Tournament::update(self, pc, taken, codec, now)
-    }
-
-    fn flush(&mut self) {
+    /// Clears all prediction state.
+    pub fn flush(&mut self) {
         self.local_history.fill(0);
         self.local_ctr.fill(3);
         self.global_ctr.fill(1);
@@ -191,7 +155,8 @@ impl DirectionPredictor for Tournament {
         self.last = None;
     }
 
-    fn storage_bits(&self) -> u64 {
+    /// Modeled storage in bits.
+    pub fn storage_bits(&self) -> u64 {
         let local_hist =
             self.config.local_entries as u64 * u64::from(self.config.local_history_bits);
         let local_ctr = (1u64 << self.config.local_history_bits) * 3;
@@ -204,17 +169,15 @@ impl DirectionPredictor for Tournament {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::IdentityCodec;
 
     fn accuracy<F: FnMut(u64) -> bool>(p: &mut Tournament, pc: u64, n: u64, mut f: F) -> f64 {
-        let mut c = IdentityCodec::new();
         let mut ok = 0u64;
         for s in 0..n {
             let t = f(s);
-            if p.predict(Addr::new(pc), &mut c, s) == t {
+            if p.predict(Addr::new(pc)) == t {
                 ok += 1;
             }
-            p.update(Addr::new(pc), t, &mut c, s);
+            p.update(Addr::new(pc), t);
         }
         ok as f64 / n as f64
     }
@@ -237,8 +200,8 @@ mod tests {
     fn tage_scl_beats_tournament_on_long_patterns() {
         // The §VII-F claim, in miniature: a long-period pattern TAGE's long
         // histories capture but the tournament's 10-bit local history can't.
+        use crate::codec::IdentityCodec;
         use crate::tage_scl::TageScL;
-        use crate::DirectionPredictor as _;
         let mut c = IdentityCodec::new();
         let mut tour = Tournament::alpha_like();
         let mut tage = TageScL::paper_default();
@@ -247,14 +210,14 @@ mod tests {
         for s in 0..30_000u64 {
             let t = s % period < period - 1;
             let pc = Addr::new(0x300);
-            if tour.predict(pc, &mut c, s) == t {
+            if tour.predict(pc) == t {
                 tour_ok += 1;
             }
-            tour.update(pc, t, &mut c, s);
-            if tage.predict(pc, &mut c, s) == t {
+            tour.update(pc, t);
+            if tage.predict_slot(pc, 0, &mut c, s) == t {
                 tage_ok += 1;
             }
-            tage.update(pc, t, &mut c, s);
+            tage.update_slot(pc, 0, t, &mut c, s);
             total += 1;
         }
         let (ta, to) = (tage_ok as f64 / total as f64, tour_ok as f64 / total as f64);

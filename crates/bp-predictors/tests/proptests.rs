@@ -7,7 +7,6 @@ use bp_predictors::btb::{BtbConfig, BtbHierarchy, BtbTable};
 use bp_predictors::codec::{IdentityCodec, TableId, TableUnit};
 use bp_predictors::ras::ReturnAddressStack;
 use bp_predictors::tage_scl::TageScL;
-use bp_predictors::DirectionPredictor;
 
 /// Insert-then-lookup returns the stored content for any PC/target,
 /// regardless of geometry.
@@ -69,10 +68,10 @@ fn tage_learns_any_constant_branch() {
             let mut p = TageScL::paper_default();
             let mut c = IdentityCodec::new();
             for i in 0..32u64 {
-                let _ = p.predict(Addr::new(pc), &mut c, i);
-                p.update(Addr::new(pc), dir, &mut c, i);
+                let _ = p.predict_slot(Addr::new(pc), 0, &mut c, i);
+                p.update_slot(Addr::new(pc), 0, dir, &mut c, i);
             }
-            assert_eq!(p.predict(Addr::new(pc), &mut c, 100), dir);
+            assert_eq!(p.predict_slot(Addr::new(pc), 0, &mut c, 100), dir);
         });
 }
 
@@ -106,11 +105,11 @@ fn tage_is_deterministic() {
         let mut cb = IdentityCodec::new();
         for (i, &(pc16, taken)) in stream.iter().enumerate() {
             let pc = Addr::new(0x1000 + u64::from(pc16) * 4);
-            let pa = a.predict(pc, &mut ca, i as u64);
-            let pb = b.predict(pc, &mut cb, i as u64);
+            let pa = a.predict_slot(pc, 0, &mut ca, i as u64);
+            let pb = b.predict_slot(pc, 0, &mut cb, i as u64);
             assert_eq!(pa, pb);
-            a.update(pc, taken, &mut ca, i as u64);
-            b.update(pc, taken, &mut cb, i as u64);
+            a.update_slot(pc, 0, taken, &mut ca, i as u64);
+            b.update_slot(pc, 0, taken, &mut cb, i as u64);
         }
     });
 }

@@ -1,7 +1,6 @@
 //! Prints measured TAGE-SC-L accuracy per benchmark vs the calibrated target.
 use bp_predictors::codec::IdentityCodec;
 use bp_predictors::tage_scl::TageScL;
-use bp_predictors::DirectionPredictor;
 use bp_workloads::{SpecBenchmark, WorkloadGenerator};
 
 fn main() {
@@ -23,8 +22,8 @@ fn main() {
             if !r.kind.is_conditional() {
                 continue;
             }
-            let pred = t.predict(r.pc, &mut c, step);
-            t.update(r.pc, r.taken, &mut c, step);
+            let pred = t.predict_slot(r.pc, 0, &mut c, step);
+            t.update_slot(r.pc, 0, r.taken, &mut c, step);
             if warmup > 0 {
                 warmup -= 1;
                 continue;

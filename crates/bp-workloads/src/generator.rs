@@ -400,7 +400,6 @@ mod tests {
         // profile's accuracy ceiling within a few points on conditionals.
         use bp_predictors::codec::IdentityCodec;
         use bp_predictors::tage_scl::TageScL;
-        use bp_predictors::DirectionPredictor;
         for bench in [SpecBenchmark::Lbm, SpecBenchmark::Mcf, SpecBenchmark::Wrf] {
             let p = bench.profile();
             let mut g = WorkloadGenerator::new(p, 13);
@@ -415,8 +414,8 @@ mod tests {
                 if !r.kind.is_conditional() {
                     continue;
                 }
-                let pred = t.predict(r.pc, &mut c, step);
-                t.update(r.pc, r.taken, &mut c, step);
+                let pred = t.predict_slot(r.pc, 0, &mut c, step);
+                t.update_slot(r.pc, 0, r.taken, &mut c, step);
                 if warmup > 0 {
                     warmup -= 1;
                     continue;

@@ -72,11 +72,6 @@ pub struct HybpConfig {
     /// instead of using the code book: the BPU then reports the cipher's
     /// latency as extra front-end cycles (the Figure-2 ablation).
     pub inline_cipher: bool,
-    /// Optional preset-frequency key change (paper §VI-C: "the system can
-    /// also change the keys at a preset frequency regardless of context
-    /// switching"), in cycles. `None` relies on context switches plus the
-    /// access counter alone.
-    pub periodic_refresh: Option<u64>,
     /// Whether the small upper-level structures are physically isolated per
     /// `(thread, privilege)` slot. `false` gives the *randomization-only*
     /// ablation (§V-B's counterfactual): the shared L2/tagged tables keep
@@ -93,7 +88,6 @@ impl HybpConfig {
             renewal_threshold: bp_crypto::keys::PAPER_RENEWAL_THRESHOLD,
             cipher: CipherKind::Qarma,
             inline_cipher: false,
-            periodic_refresh: None,
             isolate_upper: true,
         }
     }
@@ -119,16 +113,12 @@ impl HybpConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] when the keys-table geometry is invalid,
-    /// the renewal threshold is zero, or a periodic refresh of zero cycles
-    /// is requested.
+    /// Returns a [`ConfigError`] when the keys-table geometry is invalid or
+    /// the renewal threshold is zero.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.keys_table.validate()?;
         if self.renewal_threshold == 0 {
             return Err(ConfigError::zero("renewal_threshold"));
-        }
-        if self.periodic_refresh == Some(0) {
-            return Err(ConfigError::zero("periodic_refresh"));
         }
         Ok(())
     }
@@ -315,10 +305,6 @@ mod tests {
         zero_threshold.renewal_threshold = 0;
         assert!(Mechanism::HyBp(zero_threshold).validate().is_err());
 
-        let mut zero_period = HybpConfig::paper_default();
-        zero_period.periodic_refresh = Some(0);
-        assert!(Mechanism::HyBp(zero_period).validate().is_err());
-
         let mut bad_geometry = HybpConfig::paper_default();
         bad_geometry.keys_table.entries = 0;
         assert!(Mechanism::HyBp(bad_geometry).validate().is_err());
@@ -331,7 +317,6 @@ mod tests {
         assert_eq!(c.renewal_threshold, 1 << 27);
         assert_eq!(c.cipher, CipherKind::Qarma);
         assert!(!c.inline_cipher);
-        assert_eq!(c.periodic_refresh, None);
         assert!(c.isolate_upper);
         assert!(!HybpConfig::randomization_only().isolate_upper);
     }

@@ -67,8 +67,6 @@ fn isolated_tables_identity() {
             let id = TableId::new(TableUnit::Btb, level);
             assert_eq!(c.transform_index(id, raw, Addr::new(pc), 5_000), raw);
             assert_eq!(c.encode_content(id, raw), raw);
-            let base = TableId::new(TableUnit::TageBase, 0);
-            assert_eq!(c.transform_index(base, raw, Addr::new(pc), 5_000), raw);
         });
 }
 

@@ -10,6 +10,7 @@
 use hybp_repro::bp_common::{Addr, Asid, BranchKind, BranchRecord, HwThreadId, Privilege};
 use hybp_repro::bp_pipeline::{RunMetrics, SimConfig, Simulation};
 use hybp_repro::bp_workloads::profile::SpecBenchmark;
+use hybp_repro::bp_workloads::WorkloadGenerator;
 use hybp_repro::hybp::{HybpConfig, Mechanism, SecureBpu};
 
 fn all_mechanisms() -> Vec<Mechanism> {
@@ -79,6 +80,25 @@ fn every_mechanism_survives_event_storms() {
         assert_eq!(stats.context_switches, 100, "{mech}");
         assert_eq!(stats.privilege_changes, 200, "{mech}");
     }
+}
+
+#[test]
+fn hybp_key_reads_on_a_generator_stream_are_pinned() {
+    // One key read per index or tag transform of the L2 BTB or a TAGE
+    // tagged table. A change to what the renewal counter counts moves this.
+    let mut bpu = SecureBpu::new(Mechanism::hybp_default(), 1, 7).expect("valid mechanism");
+    let hw = HwThreadId::new(0);
+    bpu.on_context_switch(hw, Asid::new(1), 0);
+    let mut generator = WorkloadGenerator::new(SpecBenchmark::Mcf.profile(), 42);
+    let mut now = 1u64;
+    for _ in 0..10_000 {
+        let r = generator.next_branch();
+        now += u64::from(r.gap) + 1;
+        let _ = bpu.process_branch(hw, &r, now);
+    }
+    let codec = bpu.observation().codec.expect("hybp has a codec");
+    assert_eq!(codec.randomized_accesses, 282_618);
+    assert_eq!(codec.counter_renewals, 0);
 }
 
 #[test]
