@@ -7,7 +7,10 @@
 //! point several experiments need is simulated once), then the driver
 //! prints a per-experiment wall-clock table. The run journal,
 //! `results/run_report.json`, is the suite's one report: per-experiment
-//! status, seconds and memo hits/misses, and the suite's `total_seconds`.
+//! status, seconds and memo hits/misses, and the suite's `total_seconds`
+//! and memo totals (`hits`, `misses`, and `points`, the distinct runs
+//! held: `misses − points` is how many runs racing workers simulated
+//! twice).
 //!
 //! Experiments run one after another, in registry order whatever order
 //! `--only` names them in (each is internally parallel across its sweep
@@ -181,7 +184,7 @@ fn main() {
     }
     if let Some(dir) = &ctx.telemetry_dir {
         println!(
-            "telemetry: exporting JSONL to {} (model memo off: every point simulates)",
+            "telemetry: exporting JSONL to {} (point memo off: every point simulates)",
             dir.display()
         );
     }
@@ -304,12 +307,13 @@ fn main() {
         );
     }
     println!(
-        "{:<32} {:>9.2}  ({} threads, cache {} hits / {} misses, {:.0}% hit rate)",
+        "{:<32} {:>9.2}  ({} threads, cache {} hits / {} misses / {} points, {:.0}% hit rate)",
         "total",
         total_seconds,
         ctx.pool.threads(),
         cache.hits,
         cache.misses,
+        cache.points,
         cache.hit_rate() * 100.0
     );
 
@@ -460,8 +464,8 @@ fn render_report(
     let _ = writeln!(s, "  \"total_seconds\": {:.3},", elapsed.as_secs_f64());
     let _ = writeln!(
         s,
-        "  \"cache\": {{ \"hits\": {}, \"misses\": {} }},",
-        cache.hits, cache.misses
+        "  \"cache\": {{ \"hits\": {}, \"misses\": {}, \"points\": {} }},",
+        cache.hits, cache.misses, cache.points
     );
     let _ = writeln!(s, "  \"experiments\": [");
     for (i, o) in outcomes.iter().enumerate() {

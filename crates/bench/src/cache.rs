@@ -1,74 +1,44 @@
-//! Per-process memo for simulation-derived model points.
+//! Per-process memo of simulated points.
 //!
 //! Table I, Figs. 5–8 and Table VI all normalise against the same
-//! baseline and per-benchmark overhead points, so one `bench_all` process
-//! would otherwise simulate many points more than once. This memo stores
-//! each derived point under its full key description — the mechanism
-//! (including its embedded configuration), the benchmark, the scale and
-//! the exact [`SimConfig`]-level parameters — so a point computed once
-//! (by any experiment, on any thread) is reused by every later lookup in
-//! the same process.
+//! baseline and no-switch runs, so one `bench_all` process would otherwise
+//! simulate many points more than once. This memo holds each simulated
+//! run's whole [`RunMetrics`] under its point's description — the
+//! `Debug` text of a [`crate::Point`], which spells out the mechanism
+//! (including its embedded configuration), the workload and the exact
+//! [`SimConfig`](bp_pipeline::SimConfig) — so a run made once (by any
+//! experiment, on any thread) serves every later lookup of that point in
+//! the same process. [`crate::Ctx::point`] is its one caller.
 //!
 //! # Correctness contract
 //!
 //! * Nothing outlives the process, so an entry can never be stale against
 //!   the code that computed it.
-//! * Values are the computed `f64`s themselves, so a hit reproduces the
-//!   computing run *bit-exactly*.
+//! * Entries are the runs themselves, shared behind an [`Arc`], so a hit
+//!   reproduces the computing run *bit-exactly*.
 //! * The first writer of a key wins, and every caller gets the stored
-//!   value. Values are deterministic, so two workers racing on one key
-//!   cost a duplicate computation, never a different number.
+//!   run. Runs are deterministic, so two workers racing on one key cost a
+//!   duplicate simulation, never a different number; `misses − points`
+//!   counts those duplicates.
 //! * A lookup never waits on an in-flight computation: the lock is held
 //!   only to read or insert, so a point wedged under a deadline cannot
 //!   hang later lookups.
-//!
-//! [`SimConfig`]: bp_pipeline::SimConfig
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use bp_common::telemetry::{Observable, TelemetrySnapshot};
+use bp_pipeline::RunMetrics;
 
-/// A fully-described memo key. Construct with [`CacheKey::new`], folding
-/// in every input that can influence the memoised value via
-/// [`CacheKey::with`].
-#[derive(Debug, Clone)]
-pub struct CacheKey {
-    descr: String,
-}
-
-impl CacheKey {
-    /// Starts a key of the given `kind` (e.g. `"model"`, `"smt_point"`).
-    pub fn new(kind: &'static str) -> CacheKey {
-        CacheKey {
-            descr: kind.to_owned(),
-        }
-    }
-
-    /// Folds one named component into the key. Use `Debug`-stable
-    /// renderings for structured inputs (`format_args!("{v:?}")`): every
-    /// configuration field must end up in the string, or two distinct
-    /// experiment points could alias.
-    pub fn with(mut self, name: &str, value: std::fmt::Arguments<'_>) -> CacheKey {
-        let _ = write!(self.descr, "|{name}={value}");
-        self
-    }
-
-    /// The full human-readable key string the memo is keyed by.
-    pub fn descr(&self) -> &str {
-        &self.descr
-    }
-}
-
-/// Hit/miss counters of one memo.
+/// Lookup counters of one memo.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the memo.
     pub hits: u64,
-    /// Lookups that computed (absent key, or memo off).
+    /// Lookups that simulated (absent key, or memo off).
     pub misses: u64,
+    /// Distinct points held (0 when the memo is off).
+    pub points: u64,
 }
 
 impl CacheStats {
@@ -83,14 +53,16 @@ impl CacheStats {
     }
 }
 
-/// The in-process model-point memo, shared by reference across worker
-/// threads. [`crate::Ctx`] owns one; telemetry capture
+type Entries = BTreeMap<String, Arc<RunMetrics>>;
+
+/// The in-process point memo, shared by reference across worker threads.
+/// [`crate::Ctx`] owns one; telemetry capture
 /// ([`crate::Ctx::with_telemetry_dir`]) is the only thing that turns it
 /// off.
 #[derive(Debug)]
 pub struct ModelCache {
-    /// Memoised values by [`CacheKey::descr`]; `None` when the memo is off.
-    entries: Option<Mutex<BTreeMap<String, Vec<f64>>>>,
+    /// Runs by point description; `None` when the memo is off.
+    entries: Option<Mutex<Entries>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -116,79 +88,63 @@ impl ModelCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            points: self.entries.as_ref().map_or(0, |e| lock(e).len() as u64),
         }
     }
 
-    /// Returns the memoised values for `key`, or computes them with
-    /// `compute` and memoises them. `compute` must be a pure function of
-    /// the key's components — that is the caller's half of the
+    /// Returns the run memoised under `key`, or runs `compute` and
+    /// memoises its result. `compute` must be a pure function of the
+    /// point `key` describes — that is the caller's half of the
     /// determinism contract. The lock is never held while computing.
-    pub fn get_or_compute<F>(&self, key: &CacheKey, compute: F) -> Vec<f64>
+    pub fn get_or_compute<F>(&self, key: &str, compute: F) -> Arc<RunMetrics>
     where
-        F: FnOnce() -> Vec<f64>,
+        F: FnOnce() -> RunMetrics,
     {
         let Some(entries) = &self.entries else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return compute();
+            return Arc::new(compute());
         };
-        if let Some(vals) = lock(entries).get(key.descr()) {
+        if let Some(run) = lock(entries).get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return vals.clone();
+            return Arc::clone(run);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let vals = compute();
-        lock(entries)
-            .entry(key.descr().to_owned())
-            .or_insert(vals)
-            .clone()
-    }
-
-    /// Single-value convenience over [`ModelCache::get_or_compute`].
-    pub fn get_or_compute_one<F>(&self, key: &CacheKey, compute: F) -> f64
-    where
-        F: FnOnce() -> f64,
-    {
-        self.get_or_compute(key, || vec![compute()])[0]
+        let run = Arc::new(compute());
+        Arc::clone(lock(entries).entry(key.to_owned()).or_insert(run))
     }
 }
 
 /// Locks the memo. No code panics while holding the lock (computation
 /// runs outside it), so a poisoned lock still guards a consistent map.
-fn lock(entries: &Mutex<BTreeMap<String, Vec<f64>>>) -> MutexGuard<'_, BTreeMap<String, Vec<f64>>> {
+fn lock(entries: &Mutex<Entries>) -> MutexGuard<'_, Entries> {
     entries.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl Observable for ModelCache {
-    /// Counters under scope `"cache"`.
-    fn snapshot(&self) -> TelemetrySnapshot {
-        let s = self.stats();
-        TelemetrySnapshot::new("cache")
-            .with("enabled", u64::from(self.is_enabled()))
-            .with("hits", s.hits)
-            .with("misses", s.misses)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_pipeline::StageCycles;
+    use hybp::BpuStats;
 
-    fn entry_count(cache: &ModelCache) -> usize {
-        cache.entries.as_ref().map_or(0, |e| lock(e).len())
+    /// A hand-built run told apart by its cycle count alone.
+    fn run(cycles: u64) -> RunMetrics {
+        RunMetrics {
+            threads: Vec::new(),
+            cycles,
+            bpu: BpuStats::default(),
+            stages: StageCycles::default(),
+            stream_digests: Vec::new(),
+        }
     }
 
     #[test]
     fn round_trip_is_bit_exact() {
         let cache = ModelCache::new(true);
-        let key = CacheKey::new("test").with("x", format_args!("1"));
-        let vals = vec![0.1 + 0.2, f64::MIN_POSITIVE, -0.0, 1.0e300];
-        let first = cache.get_or_compute(&key, || vals.clone());
-        let second = cache.get_or_compute(&key, || panic!("must hit"));
-        assert_eq!(first.len(), second.len());
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        let first = cache.get_or_compute("x=1", || run(7));
+        let second = cache.get_or_compute("x=1", || panic!("must hit"));
+        assert!(Arc::ptr_eq(&first, &second), "a hit is the stored run");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.points), (1, 1, 1));
     }
 
     #[test]
@@ -196,73 +152,60 @@ mod tests {
         // The barrier holds every computation until all 8 threads have
         // looked the key up and missed, so all 8 compute (a lookup that
         // waited on an in-flight key would deadlock here). Each computes
-        // a different value, so "same bits everywhere" shows that the
-        // first writer's entry is the one every caller gets.
+        // a different run, so "same run everywhere" shows that the first
+        // writer's entry is the one every caller gets.
         const THREADS: usize = 8;
         let cache = ModelCache::new(true);
-        let key = CacheKey::new("test").with("x", format_args!("c"));
         let barrier = std::sync::Barrier::new(THREADS);
         let seen: Vec<u64> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..THREADS)
                 .map(|i| {
-                    let (cache, key, barrier) = (&cache, &key, &barrier);
+                    let (cache, barrier) = (&cache, &barrier);
                     scope.spawn(move || {
-                        cache.get_or_compute_one(key, || {
+                        cache.get_or_compute("x=c", || {
                             barrier.wait();
-                            i as f64
+                            run(i as u64)
                         })
                     })
                 })
                 .collect();
             workers
                 .into_iter()
-                .map(|w| w.join().unwrap().to_bits())
+                .map(|w| w.join().unwrap().cycles)
                 .collect()
         });
         assert!(seen.iter().all(|&v| v == seen[0]), "{seen:?}");
-        assert_eq!(entry_count(&cache), 1);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 8 });
-        let stored = cache.get_or_compute_one(&key, || panic!("must hit"));
-        assert_eq!(stored.to_bits(), seen[0]);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.points), (0, 8, 1), "8 runs, 1 point");
+        let stored = cache.get_or_compute("x=c", || panic!("must hit"));
+        assert_eq!(stored.cycles, seen[0]);
     }
 
     #[test]
     fn distinct_keys_do_not_alias() {
-        let a = CacheKey::new("model").with("mech", format_args!("Baseline"));
-        let b = CacheKey::new("model").with("mech", format_args!("Flush"));
-        assert_ne!(a.descr(), b.descr());
         let cache = ModelCache::new(true);
-        assert_eq!(cache.get_or_compute_one(&a, || 1.0), 1.0);
-        assert_eq!(cache.get_or_compute_one(&b, || 2.0), 2.0);
-        assert_eq!(entry_count(&cache), 2);
+        assert_eq!(cache.get_or_compute("Baseline", || run(1)).cycles, 1);
+        assert_eq!(cache.get_or_compute("Flush", || run(2)).cycles, 2);
+        assert_eq!(cache.stats().points, 2);
     }
 
     #[test]
     fn disabled_cache_never_hits_or_writes() {
         let cache = ModelCache::new(false);
-        let key = CacheKey::new("test").with("x", format_args!("3"));
-        assert_eq!(cache.get_or_compute_one(&key, || 5.0), 5.0);
-        assert_eq!(cache.get_or_compute_one(&key, || 6.0), 6.0);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
-        assert_eq!(entry_count(&cache), 0);
+        assert_eq!(cache.get_or_compute("x=3", || run(5)).cycles, 5);
+        assert_eq!(cache.get_or_compute("x=3", || run(6)).cycles, 6);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.points), (0, 2, 0));
     }
 
     #[test]
     fn hit_rate_bounds() {
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
-        let s = CacheStats { hits: 3, misses: 1 };
+        let s = CacheStats {
+            hits: 3,
+            misses: 1,
+            points: 1,
+        };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_mirrors_stats() {
-        let cache = ModelCache::new(false);
-        let key = CacheKey::new("test").with("x", format_args!("9"));
-        let _ = cache.get_or_compute_one(&key, || 1.0);
-        let snap = cache.snapshot();
-        assert_eq!(snap.scope, "cache");
-        assert_eq!(snap.get("enabled"), 0);
-        assert_eq!(snap.get("misses"), 1);
-        assert_eq!(snap.get("hits"), 0);
     }
 }

@@ -15,7 +15,7 @@
 //!   clean whose CSV is still intact,
 //! * `--deadline-secs N` — abandon any one experiment after `N` seconds,
 //! * `--telemetry DIR` — export one sorted telemetry JSONL file per
-//!   experiment into `DIR`. Capture turns the in-process model memo off: a
+//!   experiment into `DIR`. Capture turns the in-process point memo off: a
 //!   memoised point runs no simulation, so a point shared by two
 //!   experiments would put its events in whichever file computed it first.
 //! * `--trace-dir DIR` — replay every instruction stream from the `.bpt`
@@ -36,9 +36,9 @@
 //!   trace. Sampled CSVs carry a `# sampled:` header naming the window
 //!   counts and coverage.
 //!
-//! Shared simulation points (overhead models, direct interval points,
-//! single-thread and SMT runs) are memoised for the life of the process
-//! ([`ModelCache`]), so experiments sharing a point simulate it once.
+//! Every simulated run is one [`crate::Point`], memoised whole for the
+//! life of the process by [`Ctx::point`] ([`ModelCache`]), so experiments
+//! sharing a point simulate it once.
 //!
 //! Unknown options and malformed values are fatal usage errors (exit
 //! code 2) with a message listing what is valid — a typo must never
@@ -241,7 +241,7 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
 pub const RETRY_SEED: u64 = 0x4879_4250; // "HyBP"
 
 /// Everything an experiment body needs: the scale preset, the worker
-/// pool, the model-point memo, and the sweep supervisor. One `Ctx` serves
+/// pool, the point memo, and the sweep supervisor. One `Ctx` serves
 /// a whole `bench_all` suite run, so every experiment shares the memo
 /// while the supervisor is drained per experiment.
 #[derive(Debug)]

@@ -8,7 +8,7 @@
 //!    ruinous for QARMA/PRINCE, cheap for LLBC/XOR.)
 //! 3. Which ciphers survive cryptanalysis? (Only the non-linear ones.)
 
-use crate::{degradation, no_switch_config, st_point_cached, Ctx, ExpResult};
+use crate::{degradation, no_switch_config, Ctx, ExpResult};
 use bp_attacks::linear::break_affine;
 use bp_workloads::profile::SpecBenchmark;
 use hybp::{CipherKind, HybpConfig, Mechanism};
@@ -19,7 +19,7 @@ pub fn run(ctx: &Ctx) -> ExpResult {
         "cipher,codebook_loss,inline_loss,linear_break",
     );
     let bench = SpecBenchmark::Deepsjeng;
-    let base = st_point_cached(ctx, Mechanism::Baseline, bench, no_switch_config(ctx.scale)).0;
+    let base = ctx.ipc(Mechanism::Baseline, bench, no_switch_config(ctx.scale));
     println!(
         "Cipher ablation on {} (vs baseline IPC {:.3})",
         bench.name(),
@@ -41,21 +41,9 @@ pub fn run(ctx: &Ctx) -> ExpResult {
         ctx.sweep("ablation_ciphers:ciphers", &ciphers, |&cipher| {
             let mut cfg = HybpConfig::paper_default();
             cfg.cipher = cipher;
-            let codebook = st_point_cached(
-                ctx,
-                Mechanism::HyBp(cfg),
-                bench,
-                no_switch_config(ctx.scale),
-            )
-            .0;
+            let codebook = ctx.ipc(Mechanism::HyBp(cfg), bench, no_switch_config(ctx.scale));
             cfg.inline_cipher = true;
-            let inline = st_point_cached(
-                ctx,
-                Mechanism::HyBp(cfg),
-                bench,
-                no_switch_config(ctx.scale),
-            )
-            .0;
+            let inline = ctx.ipc(Mechanism::HyBp(cfg), bench, no_switch_config(ctx.scale));
             let broken = break_affine(cipher.build(7).as_ref(), 0, 100, 1).is_some();
             (codebook, inline, broken)
         });

@@ -10,10 +10,9 @@
 //! * Algorithm 1's success rate,
 //! * the malicious-training PoC.
 
-use crate::{no_switch_config, CacheKey, Ctx, ExpResult, Scale};
+use crate::{no_switch_config, Ctx, ExpResult, Point, Scale};
 use bp_attacks::poc::{btb_training, PocParams};
 use bp_attacks::ppp::{campaign, PppParams};
-use bp_pipeline::Simulation;
 use bp_workloads::profile::SpecBenchmark;
 use hybp::{HybpConfig, Mechanism};
 
@@ -42,31 +41,15 @@ pub fn run(ctx: &Ctx) -> ExpResult {
             let mech = Mechanism::HyBp(cfg);
             // Upper-level filtering measured on a real workload: the fraction of
             // BTB hits served by L0/L1 is the traffic the shared L2 never sees.
-            // Needs the BTB hit breakdown, so it caches its own point rather
-            // than going through `st_point_cached`.
-            let key = CacheKey::new("upper_share")
-                .with("mech", format_args!("{mech:?}"))
-                .with("scale", format_args!("{}", ctx.scale.name()))
-                .with("cfg", format_args!("{:?}", no_switch_config(ctx.scale)));
-            let upper_share = ctx.cache.get_or_compute_one(&key, || {
-                let sink = ctx.telemetry.sink();
-                #[expect(
-                    clippy::expect_used,
-                    reason = "sweep boundary: configs here are built from validated presets, and a failed run is a programming error; the supervised sweep records either panic as a point failure"
-                )]
-                let m = Simulation::builder(mech, no_switch_config(ctx.scale))
-                    .single_thread(SpecBenchmark::Xz)
-                    .telemetry(sink.clone())
-                    .build()
-                    .expect("valid config")
-                    .run()
-                    .expect("simulation completes")
-                    .bpu;
-                ctx.telemetry.absorb(&sink);
-                let upper = (m.btb_hits[0] + m.btb_hits[1]) as f64;
-                let total = upper + m.btb_hits[2] as f64 + m.btb_misses as f64;
-                upper / total
-            });
+            let bpu = ctx
+                .point(&Point::single(
+                    mech,
+                    SpecBenchmark::Xz,
+                    no_switch_config(ctx.scale),
+                ))
+                .bpu;
+            let upper = (bpu.btb_hits[0] + bpu.btb_hits[1]) as f64;
+            let upper_share = upper / (upper + bpu.btb_hits[2] as f64 + bpu.btb_misses as f64);
             let ppp = campaign(mech, &PppParams::quick(), runs, 9);
             let poc = btb_training(mech, PocParams::quick(), 31);
             (

@@ -2,7 +2,7 @@
 //! (the cost of putting an encryption engine on the prediction critical
 //! path), per benchmark, with each benchmark's prediction accuracy.
 
-use crate::{all_benchmarks, degradation, no_switch_config, pct, st_point_cached, Ctx, ExpResult};
+use crate::{all_benchmarks, degradation, no_switch_config, pct, Ctx, ExpResult, Point};
 use hybp::Mechanism;
 
 pub fn run(ctx: &Ctx) -> ExpResult {
@@ -18,14 +18,17 @@ pub fn run(ctx: &Ctx) -> ExpResult {
     let benches = all_benchmarks();
     // Supervised sweep: per-benchmark (accuracy, losses) tuples.
     let rows: Vec<Option<(f64, [f64; 3])>> = ctx.sweep("fig2:benches", &benches, |&bench| {
-        let base_cfg = no_switch_config(ctx.scale);
-        let (base_ipc, accuracy) = st_point_cached(ctx, Mechanism::Baseline, bench, base_cfg);
+        let base = ctx.point(&Point::single(
+            Mechanism::Baseline,
+            bench,
+            no_switch_config(ctx.scale),
+        ));
+        let (base_ipc, accuracy) = (base.threads[0].ipc(), base.bpu.direction_accuracy());
         let mut losses = [0.0f64; 3];
         for (k, extra) in [2u32, 4, 8].iter().enumerate() {
             let mut cfg = no_switch_config(ctx.scale);
             cfg.core.extra_frontend_cycles = *extra;
-            let (ipc, _) = st_point_cached(ctx, Mechanism::Baseline, bench, cfg);
-            losses[k] = degradation(ipc, base_ipc);
+            losses[k] = degradation(ctx.ipc(Mechanism::Baseline, bench, cfg), base_ipc);
         }
         (accuracy, losses)
     });

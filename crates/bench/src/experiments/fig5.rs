@@ -7,9 +7,7 @@
 //! windows. Sampled rows carry `interval_cycles=0` and `method=sampled`,
 //! and the CSV is marked with a `# sampled:` header.
 
-use crate::{
-    all_benchmarks, ipc_at_cached, model_cached, sampled_estimate, Ctx, ExpResult, INTERVALS,
-};
+use crate::{all_benchmarks, ipc_at, overhead_model, sampled_estimate, Ctx, ExpResult, INTERVALS};
 use bp_workloads::profile::SpecBenchmark;
 use hybp::Mechanism;
 
@@ -41,14 +39,14 @@ pub fn run_with_benches(ctx: &Ctx, benches: &[SpecBenchmark]) -> ExpResult {
     // over completed points only.
     let rows: Vec<Option<Vec<(f64, &'static str)>>> =
         ctx.sweep("fig5:benches", benches, |&bench| {
-            let base = model_cached(ctx, Mechanism::Baseline, bench);
-            let hybp = model_cached(ctx, Mechanism::hybp_default(), bench);
+            let base = overhead_model(ctx, Mechanism::Baseline, bench);
+            let hybp = overhead_model(ctx, Mechanism::hybp_default(), bench);
             INTERVALS
                 .iter()
                 .map(|&interval| {
-                    let (b, _) = ipc_at_cached(ctx, Mechanism::Baseline, bench, interval, &base);
+                    let (b, _) = ipc_at(ctx, Mechanism::Baseline, bench, interval, &base);
                     let (h, method) =
-                        ipc_at_cached(ctx, Mechanism::hybp_default(), bench, interval, &hybp);
+                        ipc_at(ctx, Mechanism::hybp_default(), bench, interval, &hybp);
                     (h / b, method)
                 })
                 .collect()

@@ -7,8 +7,8 @@
 //! the context-switch share).
 
 use crate::{
-    all_benchmarks, degradation, ipc_at_cached, model_cached, no_switch_config, st_point_cached,
-    Csv, Ctx, ExpResult, INTERVALS,
+    all_benchmarks, degradation, ipc_at, no_switch_config, overhead_model, Csv, Ctx, ExpResult,
+    INTERVALS,
 };
 use bp_workloads::profile::SpecBenchmark;
 use hybp::Mechanism;
@@ -34,14 +34,13 @@ pub fn run(ctx: &Ctx) -> ExpResult {
         // models, direct points at small intervals).
         let rows: Vec<Vec<(f64, &'static str)>> = ctx
             .sweep(&format!("fig6:{}", mech.name()), &benches, |&bench| {
-                let base_model = model_cached(ctx, Mechanism::Baseline, bench);
-                let mech_model = model_cached(ctx, mech, bench);
+                let base_model = overhead_model(ctx, Mechanism::Baseline, bench);
+                let mech_model = overhead_model(ctx, mech, bench);
                 INTERVALS
                     .iter()
                     .map(|&interval| {
-                        let (b, _) =
-                            ipc_at_cached(ctx, Mechanism::Baseline, bench, interval, &base_model);
-                        let (m, method) = ipc_at_cached(ctx, mech, bench, interval, &mech_model);
+                        let (b, _) = ipc_at(ctx, Mechanism::Baseline, bench, interval, &base_model);
+                        let (m, method) = ipc_at(ctx, mech, bench, interval, &mech_model);
                         (degradation(m, b), method)
                     })
                     .collect()
@@ -86,12 +85,12 @@ fn decompose_flush(ctx: &Ctx, csv: &mut Csv) {
     ];
     let shares: Vec<Option<(f64, f64)>> = ctx.sweep("fig6:flush-decomp", &benches, |&bench| {
         let cfg = no_switch_config(ctx.scale);
-        let base = st_point_cached(ctx, Mechanism::Baseline, bench, cfg).0;
-        let flush = st_point_cached(ctx, Mechanism::Flush, bench, cfg).0;
+        let base = ctx.ipc(Mechanism::Baseline, bench, cfg);
+        let flush = ctx.ipc(Mechanism::Flush, bench, cfg);
         let mut no_kernel = cfg;
         no_kernel.kernel_timer_interval = u64::MAX / 4;
-        let base_nk = st_point_cached(ctx, Mechanism::Baseline, bench, no_kernel).0;
-        let flush_nk = st_point_cached(ctx, Mechanism::Flush, bench, no_kernel).0;
+        let base_nk = ctx.ipc(Mechanism::Baseline, bench, no_kernel);
+        let flush_nk = ctx.ipc(Mechanism::Flush, bench, no_kernel);
         let total = degradation(flush, base);
         let ctx_only = degradation(flush_nk, base_nk);
         let priv_share = if total > 1e-6 {

@@ -3,9 +3,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::{
-    degradation, no_switch_config, no_switch_ipc_cached, smt_point_cached, Ctx, ExpResult,
-};
+use crate::{degradation, no_switch_config, Ctx, ExpResult, Point};
+use bp_pipeline::RunMetrics;
 use bp_workloads::profile::SpecBenchmark;
 use bp_workloads::TABLE_V_MIXES;
 use hybp::Mechanism;
@@ -38,7 +37,7 @@ pub fn run(ctx: &Ctx) -> ExpResult {
         }
     }
     let solo_ipcs = ctx.sweep("fig7:solo", &solo_jobs, |&(mech, b)| {
-        no_switch_ipc_cached(ctx, mech, b)
+        ctx.ipc(mech, b, no_switch_config(ctx.scale))
     });
     // Lost points simply never enter the map; downstream lookups treat an
     // absent key as "skip this mix/mechanism".
@@ -55,20 +54,20 @@ pub fn run(ctx: &Ctx) -> ExpResult {
             smt_jobs.push((mi, mech));
         }
     }
-    let smt_points: Vec<Option<(f64, Vec<f64>)>> =
-        ctx.sweep("fig7:smt", &smt_jobs, |&(mi, mech)| {
-            smt_point_cached(
-                ctx,
-                mech,
-                TABLE_V_MIXES[mi].pair,
-                no_switch_config(ctx.scale),
-            )
-        });
-    let smt: BTreeMap<(usize, String), &(f64, Vec<f64>)> = smt_jobs
+    let smt_points = ctx.sweep("fig7:smt", &smt_jobs, |&(mi, mech)| {
+        ctx.point(&Point::pair(
+            mech,
+            TABLE_V_MIXES[mi].pair,
+            no_switch_config(ctx.scale),
+        ))
+    });
+    let smt: BTreeMap<(usize, String), &RunMetrics> = smt_jobs
         .iter()
         .zip(&smt_points)
         .filter_map(|(&(mi, mech), point)| {
-            point.as_ref().map(|point| ((mi, mech.to_string()), point))
+            point
+                .as_deref()
+                .map(|point| ((mi, mech.to_string()), point))
         })
         .collect();
 
@@ -83,7 +82,7 @@ pub fn run(ctx: &Ctx) -> ExpResult {
         let Some(base_point) = smt.get(&(mi, Mechanism::Baseline.to_string())) else {
             continue; // baseline SMT point lost: the whole mix is uncomputable
         };
-        let (base_thr, base_ipcs) = (&base_point.0, &base_point.1);
+        let (base_thr, base_ipcs) = (base_point.throughput(), base_point.ipcs());
         let Some(base_solo) = mix
             .pair
             .iter()
@@ -92,7 +91,7 @@ pub fn run(ctx: &Ctx) -> ExpResult {
         else {
             continue; // a baseline solo reference was lost
         };
-        let base_hmean = match bp_common::stats::hmean_fairness(base_ipcs, &base_solo) {
+        let base_hmean = match bp_common::stats::hmean_fairness(&base_ipcs, &base_solo) {
             Some(h) => h,
             None => {
                 eprintln!(
@@ -106,8 +105,7 @@ pub fn run(ctx: &Ctx) -> ExpResult {
             let Some(point) = smt.get(&(mi, mech.to_string())) else {
                 continue; // this (mix, mechanism) SMT point was lost
             };
-            let (thr, ipcs) = (&point.0, &point.1);
-            let thr_deg = degradation(*thr, *base_thr);
+            let thr_deg = degradation(point.throughput(), base_thr);
             let Some(mech_solo) = mix
                 .pair
                 .iter()
@@ -116,7 +114,7 @@ pub fn run(ctx: &Ctx) -> ExpResult {
             else {
                 continue; // a solo reference for this mechanism was lost
             };
-            let hmean = match bp_common::stats::hmean_fairness(ipcs, &mech_solo) {
+            let hmean = match bp_common::stats::hmean_fairness(&point.ipcs(), &mech_solo) {
                 Some(h) => h,
                 None => {
                     eprintln!(

@@ -3,31 +3,12 @@
 //! (0.5% loss, 21.1% storage) point — the crossover the paper places at
 //! ≈ +240%.
 
-use crate::{degradation, no_switch_config, smt_point_cached, Ctx, ExpResult};
+use crate::{degradation, mean_smt_throughput, no_switch_config, Ctx, ExpResult, Point};
 use bp_workloads::TABLE_V_MIXES;
 use hybp::cost::mechanism_cost;
 use hybp::Mechanism;
 
 const SWEEP: [u32; 8] = [0, 40, 80, 120, 160, 200, 240, 300];
-
-/// Average SMT throughput across the Table V mixes; the per-mix runs fan
-/// out as one supervised sweep, averaged over completed mixes (`None`
-/// when all were lost).
-fn throughput(ctx: &Ctx, label: &str, mech: Mechanism) -> Option<f64> {
-    let mixes: Vec<_> = TABLE_V_MIXES.to_vec();
-    let thrs: Vec<f64> = ctx
-        .sweep(label, &mixes, |mix| {
-            smt_point_cached(ctx, mech, mix.pair, no_switch_config(ctx.scale)).0
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    if thrs.is_empty() {
-        None
-    } else {
-        Some(thrs.iter().sum::<f64>() / thrs.len() as f64)
-    }
-}
 
 pub fn run(ctx: &Ctx) -> ExpResult {
     let mut csv = ctx.csv(
@@ -36,8 +17,8 @@ pub fn run(ctx: &Ctx) -> ExpResult {
     );
     println!("Figure 8: Replication storage sweep vs HyBP (SMT-2, Table V mixes)");
     let (Some(baseline), Some(hybp_thr)) = (
-        throughput(ctx, "fig8:smt:Baseline", Mechanism::Baseline),
-        throughput(ctx, "fig8:smt:HyBP", Mechanism::hybp_default()),
+        mean_smt_throughput(ctx, "fig8:smt:Baseline", Mechanism::Baseline),
+        mean_smt_throughput(ctx, "fig8:smt:HyBP", Mechanism::hybp_default()),
     ) else {
         // No reference points — nothing downstream can be computed.
         return ctx.finish_experiment(csv);
@@ -67,23 +48,21 @@ pub fn run(ctx: &Ctx) -> ExpResult {
         let mech = Mechanism::Replication {
             extra_storage_pct: pct,
         };
-        smt_point_cached(
-            ctx,
+        ctx.point(&Point::pair(
             mech,
             TABLE_V_MIXES[mi].pair,
             no_switch_config(ctx.scale),
-        )
-        .0
+        ))
+        .throughput()
     });
     let mut crossover: Option<u32> = None;
     for (k, &pct) in SWEEP.iter().enumerate() {
         let n = TABLE_V_MIXES.len();
         let done: Vec<f64> = thrs[k * n..(k + 1) * n].iter().flatten().copied().collect();
-        if done.is_empty() {
+        let Some(avg) = bp_common::stats::mean(&done) else {
             println!("{:>13}% {:>10}", pct, "n/a");
             continue;
-        }
-        let avg = done.iter().sum::<f64>() / done.len() as f64;
+        };
         let loss = degradation(avg, baseline);
         println!("{:>13}% {:>9.2}%", pct, loss * 100.0);
         csv.row(format_args!("Replication,{},{:.5}", pct, loss));

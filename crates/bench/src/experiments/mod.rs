@@ -6,11 +6,13 @@
 //! process with a shared worker pool and a shared in-process memo of
 //! simulated points.
 //!
-//! Every body follows the same determinism discipline: the sweep grid is
-//! fanned out with the context's order-preserving
-//! [`bp_common::pool::Pool::par_map`], and all aggregation and CSV/stdout
-//! emission happens serially afterwards in input order — so output is
-//! byte-identical for any `--threads` value.
+//! Every body reads its simulated runs as [`crate::Point`]s through
+//! [`Ctx::point`] (or [`Ctx::ipc`] for a single-thread IPC), so a run
+//! shared by several experiments is one memo entry. Every body follows the
+//! same determinism discipline: the sweep grid is fanned out with the
+//! context's order-preserving supervised sweep ([`Ctx::sweep`]), and all
+//! aggregation and CSV/stdout emission happens serially afterwards in
+//! input order — so output is byte-identical for any `--threads` value.
 
 pub mod ablation_ciphers;
 pub mod ablation_filtering;
@@ -43,7 +45,7 @@ pub struct Experiment {
 
 /// The full suite, in the order `bench_all` runs it (an `--only`
 /// selection keeps this order). Cheap experiments that seed the memo with
-/// widely shared points (baseline models, no-switch IPCs) come first so
+/// widely shared points (no-switch and calibration runs) come first so
 /// later experiments hit them instead of simulating them again.
 pub fn all() -> Vec<Experiment> {
     vec![

@@ -3,7 +3,7 @@
 //! The paper quotes ≈ 5.4% in its setup, arguing that single-digit
 //! protection overheads squander real generational gains.
 
-use crate::{all_benchmarks, degradation, no_switch_config, st_point_cached, Ctx, ExpResult};
+use crate::{all_benchmarks, degradation, no_switch_config, Ctx, ExpResult};
 use hybp::Mechanism;
 
 pub fn run(ctx: &Ctx) -> ExpResult {
@@ -20,8 +20,8 @@ pub fn run(ctx: &Ctx) -> ExpResult {
     // Supervised sweep: both predictor runs per benchmark are one task.
     let rows: Vec<Option<(f64, f64)>> = ctx.sweep("sec7f:benches", &benches, |&bench| {
         let cfg = no_switch_config(ctx.scale);
-        let tage = st_point_cached(ctx, Mechanism::Baseline, bench, cfg).0;
-        let tourney = st_point_cached(ctx, Mechanism::TournamentBaseline, bench, cfg).0;
+        let tage = ctx.ipc(Mechanism::Baseline, bench, cfg);
+        let tourney = ctx.ipc(Mechanism::TournamentBaseline, bench, cfg);
         (tage, tourney)
     });
     let mut gains = Vec::new();

@@ -1,73 +1,47 @@
 //! Table I: performance overhead, hardware cost and security coverage of
-//! every defense mechanism, at the default Linux-time-slice context-switch
-//! interval on an SMT-2 core.
+//! every defense mechanism on an SMT-2 core.
+//!
+//! Every run here uses [`no_switch_config`]: no context switch fires, only
+//! the kernel timer episodes (privilege changes) do. The overheads are
+//! therefore the mechanisms' fixed parts on an SMT-2 core, not their cost
+//! at the paper's 16M-cycle Linux time slice; nothing folds switch effects
+//! in. fig5/fig6 quantify those on a single-threaded core.
 
-use crate::{
-    degradation, no_switch_config, smt_point_cached, st_point_cached, Ctx, ExpResult,
-    DEFAULT_INTERVAL,
-};
+use crate::{degradation, mean_smt_throughput, no_switch_config, Ctx, ExpResult};
 use bp_workloads::TABLE_V_MIXES;
 use hybp::cost::mechanism_cost;
 use hybp::Mechanism;
-
-/// SMT throughput under `mech` across all Table V mixes (no-switch runs;
-/// context-switch effects at 16M are folded in via the single-thread model
-/// which the fig5/fig6 experiments quantify — at 16M they are < 1% for every
-/// mechanism except via their fixed parts, which these runs capture).
-/// The per-mix runs fan out as one supervised sweep; `None` when every
-/// mix point was lost.
-fn smt_throughput(ctx: &Ctx, label: &str, mech: Mechanism) -> Option<f64> {
-    let mixes: Vec<_> = TABLE_V_MIXES.to_vec();
-    let thrs: Vec<f64> = ctx
-        .sweep(label, &mixes, |mix| {
-            smt_point_cached(ctx, mech, mix.pair, no_switch_config(ctx.scale)).0
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    if thrs.is_empty() {
-        None
-    } else {
-        Some(thrs.iter().sum::<f64>() / thrs.len() as f64)
-    }
-}
 
 pub fn run(ctx: &Ctx) -> ExpResult {
     let mut csv = ctx.csv(
         "table1_comparison.csv",
         "mechanism,perf_overhead,hw_cost_pct,single_thread_secure,smt_secure",
     );
-    println!("Table I: comparison of security mechanisms (SMT-2, {DEFAULT_INTERVAL}-cycle slices)");
+    println!(
+        "Table I: comparison of security mechanisms (SMT-2, no context switches, kernel timer episodes only)"
+    );
     println!(
         "{:<18} {:>10} {:>9} {:>14} {:>6}",
         "mechanism", "perf ovh", "hw cost", "single-thread", "SMT"
     );
-    let Some(baseline_thr) = smt_throughput(ctx, "table1:smt:Baseline", Mechanism::Baseline) else {
+    let Some(baseline_thr) = mean_smt_throughput(ctx, "table1:smt:Baseline", Mechanism::Baseline)
+    else {
         // No reference point — nothing downstream can be computed.
         return ctx.finish_experiment(csv);
     };
-    let solo_thr = {
-        // Disable-SMT: only the first member of each mix runs.
-        let mixes: Vec<_> = TABLE_V_MIXES.to_vec();
-        let thrs: Vec<f64> = ctx
-            .sweep("table1:solo", &mixes, |mix| {
-                st_point_cached(
-                    ctx,
-                    Mechanism::Baseline,
-                    mix.pair[0],
-                    no_switch_config(ctx.scale),
-                )
-                .0
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        if thrs.is_empty() {
-            None
-        } else {
-            Some(thrs.iter().sum::<f64>() / thrs.len() as f64)
-        }
-    };
+    // Disable-SMT: only the first member of each mix runs.
+    let solo: Vec<f64> = ctx
+        .sweep("table1:solo", &TABLE_V_MIXES, |mix| {
+            ctx.ipc(
+                Mechanism::Baseline,
+                mix.pair[0],
+                no_switch_config(ctx.scale),
+            )
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    let solo_thr = bp_common::stats::mean(&solo);
     let rows: [(Mechanism, &str, &str); 5] = [
         (Mechanism::Flush, "yes", "NO"),
         (Mechanism::Partition, "yes", "yes"),
@@ -82,7 +56,7 @@ pub fn run(ctx: &Ctx) -> ExpResult {
     for (mech, st_sec, smt_sec) in rows {
         let thr = match mech {
             Mechanism::DisableSmt => solo_thr,
-            m => smt_throughput(ctx, &format!("table1:smt:{}", m.name()), m),
+            m => mean_smt_throughput(ctx, &format!("table1:smt:{}", m.name()), m),
         };
         let Some(thr) = thr else { continue };
         let overhead = degradation(thr, baseline_thr);

@@ -3,7 +3,7 @@
 //! intervals. Bigger tables take longer to refresh, so branches run on
 //! stale keys (pure accuracy cost) for longer after each switch.
 
-use crate::{all_benchmarks, degradation, ipc_at_cached, model_cached, Ctx, ExpResult};
+use crate::{all_benchmarks, degradation, ipc_at, overhead_model, Ctx, ExpResult};
 use hybp::{HybpConfig, Mechanism};
 
 pub fn run(ctx: &Ctx) -> ExpResult {
@@ -24,7 +24,7 @@ pub fn run(ctx: &Ctx) -> ExpResult {
     // Parallel phase: one model per (size, benchmark), plus the shared
     // baseline models; modeled interval points are then pure arithmetic.
     let base_models = ctx.sweep("table6:base-models", &benches, |&b| {
-        model_cached(ctx, Mechanism::Baseline, b)
+        overhead_model(ctx, Mechanism::Baseline, b)
     });
     let mut jobs: Vec<(usize, usize)> = Vec::new();
     for (si, _) in sizes.iter().enumerate() {
@@ -34,7 +34,7 @@ pub fn run(ctx: &Ctx) -> ExpResult {
     }
     let models = ctx.sweep("table6:grid", &jobs, |&(si, bi)| {
         let mech = Mechanism::HyBp(HybpConfig::with_keys_entries(sizes[si]));
-        model_cached(ctx, mech, benches[bi])
+        overhead_model(ctx, mech, benches[bi])
     });
     for (si, &entries) in sizes.iter().enumerate() {
         let mech = Mechanism::HyBp(HybpConfig::with_keys_entries(entries));
@@ -49,8 +49,8 @@ pub fn run(ctx: &Ctx) -> ExpResult {
                 else {
                     continue;
                 };
-                let (b, _) = ipc_at_cached(ctx, Mechanism::Baseline, bench, interval, base_model);
-                let (h, _) = ipc_at_cached(ctx, mech, bench, interval, model);
+                let (b, _) = ipc_at(ctx, Mechanism::Baseline, bench, interval, base_model);
+                let (h, _) = ipc_at(ctx, mech, bench, interval, model);
                 losses.push(degradation(h, b));
             }
             if losses.is_empty() {

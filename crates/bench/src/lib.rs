@@ -3,11 +3,20 @@
 //! through the one `bench_all` entry point (`bench_all --only <name>` for a
 //! single one); this library holds the shared measurement machinery.
 //!
+//! # Simulated points
+//!
+//! Every simulated run is one [`Point`]: a mechanism, a workload (one
+//! benchmark, or an SMT pair) and an exact [`SimConfig`]. Experiments read
+//! runs through [`Ctx::point`], which keeps each run's whole
+//! [`RunMetrics`] for the life of the process, so a point shared by
+//! several experiments simulates once.
+//!
 //! # Measurement strategy (see `DESIGN.md` §8 and `EXPERIMENTS.md`)
 //!
 //! Context-switch intervals up to 16M cycles cannot be swept directly at
 //! laptop scale (a single 16M-cycle interval spans tens of millions of
-//! instructions). The harness therefore uses the standard decomposition
+//! instructions). The harness therefore extrapolates the 4M and 16M
+//! intervals with the standard decomposition
 //!
 //! ```text
 //! CPI_mech(I) ≈ CPI_mech(∞) · (1 + C_mech / I)
@@ -15,10 +24,12 @@
 //!
 //! where `CPI(∞)` is measured in a run without context switches (timer
 //! kernel episodes still run — they are interval-independent) and `C`, the
-//! per-switch cycle cost, is measured directly from a run at a 1M-cycle
-//! interval covering several switches. Small intervals (≤ 1M) are always
-//! measured directly; the model is validated against direct measurement at
-//! the crossover. Every CSV row records which method produced it.
+//! per-switch cycle cost, is calibrated from one run at a 1M-cycle interval
+//! covering several switches. Intervals up to 1M are always measured
+//! directly. Nothing checks the extrapolation against a direct run at 4M
+//! or 16M; measuring those intervals directly is an open item of
+//! `ROADMAP.md` ("Measure what the headline numbers claim"). Every CSV row
+//! records which method produced it.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -31,6 +42,7 @@ use bp_pipeline::{
 };
 use bp_trace::TraceStore;
 use bp_workloads::profile::{BenchmarkProfile, SpecBenchmark};
+use bp_workloads::TABLE_V_MIXES;
 use hybp::Mechanism;
 
 pub mod cache;
@@ -40,7 +52,7 @@ pub mod serve;
 pub mod supervise;
 pub mod telemetry;
 
-pub use cache::{CacheKey, ModelCache};
+pub use cache::ModelCache;
 pub use cli::Ctx;
 pub use supervise::{PointFailure, Supervisor, SweepReport};
 pub use telemetry::{FlushSummary, TelemetryHub};
@@ -69,64 +81,96 @@ fn preload_streams(store: &Arc<TraceStore>, seed: u64, threads: &[Vec<SpecBenchm
     }
 }
 
-/// Runs one single-thread simulation point, observed by `telemetry`,
-/// replaying from `trace` when one is attached.
-///
-/// The deadline backstop is an invariant here — harness configs always
-/// retire their measurement quota — so a runaway is a panic, which the
-/// supervised sweeps convert into a recorded point failure.
-fn run_single(
-    mechanism: Mechanism,
-    bench: SpecBenchmark,
-    cfg: SimConfig,
-    telemetry: &Telemetry,
-    trace: Option<&Arc<TraceStore>>,
-) -> RunMetrics {
-    if let Some(store) = trace {
-        preload_streams(store, cfg.seed, &[vec![bench, bench]]);
-    }
-    #[expect(
-        clippy::expect_used,
-        reason = "sweep boundary: configs here are built from validated presets, and a failed run is a programming error; the supervised sweep records either panic as a point failure"
-    )]
-    Simulation::builder(mechanism, cfg)
-        .single_thread(bench)
-        .telemetry(telemetry.clone())
-        .trace_store(trace.map(Arc::clone))
-        .build()
-        .expect("valid config")
-        .run()
-        .expect("simulation completes")
+/// What a [`Point`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// One benchmark on a single-threaded core.
+    Single(SpecBenchmark),
+    /// Two co-running benchmarks on an SMT-2 core, one per hardware thread.
+    Pair([SpecBenchmark; 2]),
 }
 
-/// Runs one SMT co-run point, observed by `telemetry`, replaying from
-/// `trace` when one is attached.
-fn run_smt_pair(
-    mechanism: Mechanism,
-    pair: [SpecBenchmark; 2],
-    cfg: SimConfig,
-    telemetry: &Telemetry,
-    trace: Option<&Arc<TraceStore>>,
-) -> RunMetrics {
-    if let Some(store) = trace {
-        preload_streams(
-            store,
-            cfg.seed,
-            &[vec![pair[0], pair[0]], vec![pair[1], pair[1]]],
-        );
+/// One simulated run: everything its [`RunMetrics`] depends on. Its
+/// `Debug` text is the memo key of [`Ctx::point`], so every field that
+/// can change a run must render there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Point {
+    /// Defense mechanism, including its embedded configuration.
+    pub mechanism: Mechanism,
+    /// What runs on the core.
+    pub workload: Workload,
+    /// Exact simulation parameters.
+    pub cfg: SimConfig,
+}
+
+impl Point {
+    /// A single-thread point running `bench`.
+    pub fn single(mechanism: Mechanism, bench: SpecBenchmark, cfg: SimConfig) -> Point {
+        Point {
+            mechanism,
+            workload: Workload::Single(bench),
+            cfg,
+        }
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "sweep boundary: configs here are built from validated presets, and a failed run is a programming error; the supervised sweep records either panic as a point failure"
-    )]
-    Simulation::builder(mechanism, cfg)
-        .smt(pair)
-        .telemetry(telemetry.clone())
-        .trace_store(trace.map(Arc::clone))
-        .build()
-        .expect("valid config")
-        .run()
-        .expect("simulation completes")
+
+    /// An SMT point co-running `pair`.
+    pub fn pair(mechanism: Mechanism, pair: [SpecBenchmark; 2], cfg: SimConfig) -> Point {
+        Point {
+            mechanism,
+            workload: Workload::Pair(pair),
+            cfg,
+        }
+    }
+
+    /// Simulates the point, observed by `telemetry`, replaying from
+    /// `trace` when one is attached.
+    ///
+    /// The deadline backstop is an invariant here — harness configs always
+    /// retire their measurement quota — so a runaway is a panic, which the
+    /// supervised sweeps convert into a recorded point failure.
+    fn run(&self, telemetry: &Telemetry, trace: Option<&Arc<TraceStore>>) -> RunMetrics {
+        // Each hardware thread time-shares two instances of its benchmark;
+        // the preload and the run read the same layout.
+        let layout = match self.workload {
+            Workload::Single(b) => vec![vec![b, b]],
+            Workload::Pair([a, b]) => vec![vec![a, a], vec![b, b]],
+        };
+        if let Some(store) = trace {
+            preload_streams(store, self.cfg.seed, &layout);
+        }
+        #[expect(
+            clippy::expect_used,
+            reason = "sweep boundary: configs here are built from validated presets, and a failed run is a programming error; the supervised sweep records either panic as a point failure"
+        )]
+        Simulation::builder(self.mechanism, self.cfg)
+            .threads(&layout)
+            .telemetry(telemetry.clone())
+            .trace_store(trace.map(Arc::clone))
+            .build()
+            .expect("valid config")
+            .run()
+            .expect("simulation completes")
+    }
+}
+
+impl Ctx {
+    /// The run of `point`, through the context's memo. A miss simulates
+    /// the point, observed by a fresh telemetry sink and replaying from
+    /// the attached trace store, if any; a hit returns the stored run.
+    /// Every memoised run of every experiment comes through here.
+    pub fn point(&self, point: &Point) -> Arc<RunMetrics> {
+        self.cache.get_or_compute(&format!("{point:?}"), || {
+            let sink = self.telemetry.sink();
+            let run = point.run(&sink, self.trace.as_ref());
+            self.telemetry.absorb(&sink);
+            run
+        })
+    }
+
+    /// IPC of `bench` running alone under `mechanism` and `cfg`.
+    pub fn ipc(&self, mechanism: Mechanism, bench: SpecBenchmark, cfg: SimConfig) -> f64 {
+        self.point(&Point::single(mechanism, bench, cfg)).threads[0].ipc()
+    }
 }
 
 /// What an experiment body returns: `Ok(())` or a printable failure (a
@@ -212,9 +256,6 @@ pub const CALIBRATION_INTERVAL: Cycle = 1_000_000;
 /// The paper's context-switch interval sweep (cycles).
 pub const INTERVALS: [Cycle; 5] = [256_000, 512_000, 1_000_000, 4_000_000, 16_000_000];
 
-/// The default "Linux time slice" interval.
-pub const DEFAULT_INTERVAL: Cycle = 16_000_000;
-
 /// A no-context-switch simulation config (timer episodes still fire).
 pub fn no_switch_config(scale: Scale) -> SimConfig {
     let mut cfg = SimConfig::default_run();
@@ -264,27 +305,18 @@ impl OverheadModel {
     }
 }
 
-/// Measures the overhead model for a single-thread run of `bench` under
-/// `mechanism`, with both underlying runs observed by `telemetry` (so span
-/// events survive into the suite's JSONL export) and optionally replayed
-/// from `trace`.
-fn single_thread_model_observed(
-    mechanism: Mechanism,
-    bench: SpecBenchmark,
-    scale: Scale,
-    telemetry: &Telemetry,
-    trace: Option<&Arc<TraceStore>>,
-) -> OverheadModel {
-    let fixed = run_single(mechanism, bench, no_switch_config(scale), telemetry, trace);
-    let ipc_fixed = fixed.threads[0].ipc();
+/// The overhead model of `bench` under `mechanism`: arithmetic over two
+/// memoised points, the no-switch run (the same point every other
+/// experiment reads) and the calibration run at [`CALIBRATION_INTERVAL`].
+pub fn overhead_model(ctx: &Ctx, mechanism: Mechanism, bench: SpecBenchmark) -> OverheadModel {
+    let ipc_fixed = ctx.ipc(mechanism, bench, no_switch_config(ctx.scale));
     let cal_cfg = direct_config(
-        scale,
+        ctx.scale,
         CALIBRATION_INTERVAL,
-        scale.calibration_switches(),
+        ctx.scale.calibration_switches(),
         bench.profile().base_ipc,
     );
-    let cal = run_single(mechanism, bench, cal_cfg, telemetry, trace);
-    let ipc_cal = cal.threads[0].ipc();
+    let ipc_cal = ctx.ipc(mechanism, bench, cal_cfg);
     // CPI(I)/CPI(∞) = 1 + C/I  ⇒  C = I · (ipc_fixed/ipc_cal − 1).
     let per_switch_cycles = (CALIBRATION_INTERVAL as f64 * (ipc_fixed / ipc_cal - 1.0)).max(0.0);
     OverheadModel {
@@ -298,60 +330,10 @@ pub fn degradation(ipc: f64, baseline_ipc: f64) -> f64 {
     (baseline_ipc - ipc) / baseline_ipc
 }
 
-/// Memo key for a simulation-derived point: folds in the mechanism
-/// (including its embedded config), the workload description, the scale
-/// and the *exact* simulation parameters, so no two distinct points can
-/// alias and any config change misses cleanly.
-fn sim_key(
-    kind: &'static str,
-    mechanism: Mechanism,
-    workload: &str,
-    scale: Scale,
-    cfg: &SimConfig,
-) -> CacheKey {
-    CacheKey::new(kind)
-        .with("mech", format_args!("{mechanism:?}"))
-        .with("workload", format_args!("{workload}"))
-        .with("scale", format_args!("{}", scale.name()))
-        .with("cfg", format_args!("{cfg:?}"))
-}
-
-/// [`single_thread_model_observed`] through the context's memo: the two
-/// model parameters are stored bit-exactly, so every experiment sharing a
-/// model sees the same numbers to the last bit.
-pub fn model_cached(ctx: &Ctx, mechanism: Mechanism, bench: SpecBenchmark) -> OverheadModel {
-    let cal_cfg = direct_config(
-        ctx.scale,
-        CALIBRATION_INTERVAL,
-        ctx.scale.calibration_switches(),
-        bench.profile().base_ipc,
-    );
-    let key = sim_key(
-        "model",
-        mechanism,
-        bench.name(),
-        ctx.scale,
-        &no_switch_config(ctx.scale),
-    )
-    .with("cal_cfg", format_args!("{cal_cfg:?}"));
-    let v = ctx.cache.get_or_compute(&key, || {
-        let sink = ctx.telemetry.sink();
-        let m =
-            single_thread_model_observed(mechanism, bench, ctx.scale, &sink, ctx.trace.as_ref());
-        ctx.telemetry.absorb(&sink);
-        vec![m.ipc_fixed, m.per_switch_cycles]
-    });
-    OverheadModel {
-        ipc_fixed: v[0],
-        per_switch_cycles: v[1],
-    }
-}
-
-/// IPC of `bench` under `mechanism` at `interval`: measured directly when
-/// the interval is small enough, with the point served from the context's
-/// memo, and modeled otherwise (modeled points are free — they are pure
-/// arithmetic on the already-memoised model). Returns `(ipc, method)`.
-pub fn ipc_at_cached(
+/// IPC of `bench` under `mechanism` at `interval`: a direct point when the
+/// interval is at most [`CALIBRATION_INTERVAL`], and `model`'s
+/// extrapolation otherwise. Returns `(ipc, method)`.
+pub fn ipc_at(
     ctx: &Ctx,
     mechanism: Mechanism,
     bench: SpecBenchmark,
@@ -360,62 +342,29 @@ pub fn ipc_at_cached(
 ) -> (f64, &'static str) {
     if interval <= CALIBRATION_INTERVAL {
         let cfg = direct_config(ctx.scale, interval, 4, bench.profile().base_ipc);
-        let key = sim_key("direct", mechanism, bench.name(), ctx.scale, &cfg);
-        let ipc = ctx.cache.get_or_compute_one(&key, || {
-            let sink = ctx.telemetry.sink();
-            let ipc = run_single(mechanism, bench, cfg, &sink, ctx.trace.as_ref()).threads[0].ipc();
-            ctx.telemetry.absorb(&sink);
-            ipc
-        });
-        (ipc, "direct")
+        (ctx.ipc(mechanism, bench, cfg), "direct")
     } else {
         (model.ipc_at(interval), "model")
     }
 }
 
-/// Cached single-thread point under an arbitrary config: returns
-/// `(ipc, direction_accuracy)`.
-pub fn st_point_cached(
-    ctx: &Ctx,
-    mechanism: Mechanism,
-    bench: SpecBenchmark,
-    cfg: SimConfig,
-) -> (f64, f64) {
-    let key = sim_key("st_point", mechanism, bench.name(), ctx.scale, &cfg);
-    let v = ctx.cache.get_or_compute(&key, || {
-        let sink = ctx.telemetry.sink();
-        let m = run_single(mechanism, bench, cfg, &sink, ctx.trace.as_ref());
-        ctx.telemetry.absorb(&sink);
-        vec![m.threads[0].ipc(), m.bpu.direction_accuracy()]
-    });
-    (v[0], v[1])
-}
-
-/// Cached no-switch single-thread IPC (the most shared point of all: every
-/// baseline comparison starts here).
-pub fn no_switch_ipc_cached(ctx: &Ctx, mechanism: Mechanism, bench: SpecBenchmark) -> f64 {
-    st_point_cached(ctx, mechanism, bench, no_switch_config(ctx.scale)).0
-}
-
-/// Cached SMT point for one co-running pair: returns
-/// `(throughput, per-thread IPCs)`.
-pub fn smt_point_cached(
-    ctx: &Ctx,
-    mechanism: Mechanism,
-    pair: [SpecBenchmark; 2],
-    cfg: SimConfig,
-) -> (f64, Vec<f64>) {
-    let workload = format!("{}+{}", pair[0].name(), pair[1].name());
-    let key = sim_key("smt_point", mechanism, &workload, ctx.scale, &cfg);
-    let v = ctx.cache.get_or_compute(&key, || {
-        let sink = ctx.telemetry.sink();
-        let m = run_smt_pair(mechanism, pair, cfg, &sink, ctx.trace.as_ref());
-        ctx.telemetry.absorb(&sink);
-        let mut out = vec![m.throughput()];
-        out.extend(m.ipcs());
-        out
-    });
-    (v[0], v[1..].to_vec())
+/// Mean SMT throughput under `mechanism` over the Table V mixes, each run
+/// without context switches. The mixes fan out as one supervised sweep
+/// named `label`; `None` when every mix point was lost.
+pub fn mean_smt_throughput(ctx: &Ctx, label: &str, mechanism: Mechanism) -> Option<f64> {
+    let thrs: Vec<f64> = ctx
+        .sweep(label, &TABLE_V_MIXES, |mix| {
+            ctx.point(&Point::pair(
+                mechanism,
+                mix.pair,
+                no_switch_config(ctx.scale),
+            ))
+            .throughput()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    bp_common::stats::mean(&thrs)
 }
 
 /// Computes (deterministically) the phase plan for `bench`'s canonical

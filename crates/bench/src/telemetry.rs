@@ -11,7 +11,7 @@
 //! Events are stamped with deterministic *virtual* cycles, and the flush
 //! sorts by the event's entire content (cycle first), so the byte stream is
 //! independent of worker-thread scheduling and of the order in which sweep
-//! points were absorbed. The only remaining hazard is the model memo: a
+//! points were absorbed. The only remaining hazard is the point memo: a
 //! memoised point runs no simulation and emits nothing, so telemetry
 //! capture turns the memo off (see [`crate::cli::Ctx::with_telemetry_dir`])
 //! — every point computes, and the event multiset is a pure function of

@@ -1,15 +1,14 @@
-//! Determinism guarantees of the parallel sweep executor and the model
+//! Determinism guarantees of the parallel sweep executor and the point
 //! memo: worker count must never change a number — down to the bytes of
 //! an experiment's CSV — and a memo hit must reproduce the computing
-//! run's values bit-exactly.
+//! run bit-exactly.
 
 #![allow(
     clippy::expect_used,
     reason = "test setup helpers abort the test on a broken fixture, as a failed assertion would"
 )]
 
-use bench::cache::CacheKey;
-use bench::{model_cached, no_switch_config, no_switch_ipc_cached, Ctx, Scale};
+use bench::{no_switch_config, overhead_model, Ctx, Point, Scale};
 use bp_common::pool::Pool;
 use bp_pipeline::{SimConfig, Simulation};
 use bp_workloads::profile::SpecBenchmark;
@@ -71,19 +70,20 @@ fn cache_round_trip_reproduces_cold_run_bits() {
     let ctx = Ctx::custom(Scale::Quick, Pool::new(1));
     let mech = Mechanism::hybp_default();
     let bench = SpecBenchmark::Xalancbmk;
-    let key = CacheKey::new("test_ipc")
-        .with("mech", format_args!("{mech:?}"))
-        .with("bench", format_args!("{bench:?}"));
+    let point = Point::single(mech, bench, SimConfig::quick_test());
 
-    // Cold lookup: computes and memoises the entry.
-    let cold = ctx.cache.get_or_compute_one(&key, || tiny_ipc(mech, bench));
+    // Cold lookup: simulates and memoises the run, which equals an
+    // unmemoised run of the same point.
+    let cold = ctx.point(&point);
     assert_eq!(ctx.cache.stats().misses, 1);
+    assert_eq!(
+        cold.threads[0].ipc().to_bits(),
+        tiny_ipc(mech, bench).to_bits()
+    );
 
     // Warm lookup must be a hit and bit-identical.
-    let warm = ctx
-        .cache
-        .get_or_compute_one(&key, || panic!("warm lookup must not recompute"));
-    assert_eq!(cold.to_bits(), warm.to_bits());
+    let warm = ctx.point(&point);
+    assert_eq!(*cold, *warm);
     assert_eq!(ctx.cache.stats().hits, 1);
 }
 
@@ -102,8 +102,8 @@ fn cached_model_matches_uncached_model_bitwise() {
         .expect("completes")
         .threads[0]
         .ipc();
-    let cold = no_switch_ipc_cached(&ctx, mech, bench);
-    let warm = no_switch_ipc_cached(&ctx, mech, bench);
+    let cold = ctx.ipc(mech, bench, no_switch_config(ctx.scale));
+    let warm = ctx.ipc(mech, bench, no_switch_config(ctx.scale));
     assert_eq!(direct.to_bits(), cold.to_bits());
     assert_eq!(cold.to_bits(), warm.to_bits());
     let stats = ctx.cache.stats();
@@ -113,16 +113,26 @@ fn cached_model_matches_uncached_model_bitwise() {
 #[test]
 fn overhead_model_survives_cache_and_thread_count() {
     let ctx1 = Ctx::custom(Scale::Quick, Pool::new(1));
-    let m_cold = model_cached(&ctx1, Mechanism::Baseline, SpecBenchmark::Lbm);
-    let m_warm = model_cached(&ctx1, Mechanism::Baseline, SpecBenchmark::Lbm);
+    let m_cold = overhead_model(&ctx1, Mechanism::Baseline, SpecBenchmark::Lbm);
+    let m_warm = overhead_model(&ctx1, Mechanism::Baseline, SpecBenchmark::Lbm);
     assert_eq!(m_cold.ipc_fixed.to_bits(), m_warm.ipc_fixed.to_bits());
     assert_eq!(
         m_cold.per_switch_cycles.to_bits(),
         m_warm.per_switch_cycles.to_bits()
     );
+    // The model's no-switch run is the same memo entry every other
+    // experiment reads.
+    let no_switch = ctx1.ipc(
+        Mechanism::Baseline,
+        SpecBenchmark::Lbm,
+        no_switch_config(ctx1.scale),
+    );
+    assert_eq!(no_switch.to_bits(), m_cold.ipc_fixed.to_bits());
+    let stats = ctx1.cache.stats();
+    assert_eq!((stats.hits, stats.misses), (3, 2));
 
     let ctx8 = Ctx::custom(Scale::Quick, Pool::new(8));
-    let m8 = model_cached(&ctx8, Mechanism::Baseline, SpecBenchmark::Lbm);
+    let m8 = overhead_model(&ctx8, Mechanism::Baseline, SpecBenchmark::Lbm);
     assert_eq!(m_cold.ipc_fixed.to_bits(), m8.ipc_fixed.to_bits());
     assert_eq!(
         m_cold.per_switch_cycles.to_bits(),
@@ -170,8 +180,9 @@ fn disabled_cache_still_computes_correctly() {
     let dir = std::env::temp_dir().join(format!("hybp-determinism-off-{}", std::process::id()));
     let ctx = Ctx::custom(Scale::Quick, Pool::new(2)).with_telemetry_dir(&dir);
     assert!(!ctx.cache.is_enabled());
-    let a = no_switch_ipc_cached(&ctx, Mechanism::Baseline, SpecBenchmark::Roms);
-    let b = no_switch_ipc_cached(&ctx, Mechanism::Baseline, SpecBenchmark::Roms);
+    let cfg = no_switch_config(ctx.scale);
+    let a = ctx.ipc(Mechanism::Baseline, SpecBenchmark::Roms, cfg);
+    let b = ctx.ipc(Mechanism::Baseline, SpecBenchmark::Roms, cfg);
     assert_eq!(a.to_bits(), b.to_bits());
     let stats = ctx.cache.stats();
     assert_eq!((stats.hits, stats.misses), (0, 2));

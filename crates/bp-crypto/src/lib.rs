@@ -7,6 +7,7 @@
 //! * [`TweakableBlockCipher`] — the common 64-bit tweakable cipher interface,
 //! * [`Qarma64`] — a full implementation of the QARMA-64 tweakable block
 //!   cipher (Avanzi, 2017), the cipher HyBP uses to fill the code book,
+//!   validated against the published test vectors,
 //! * [`Prince`] — the PRINCE low-latency cipher (Borghoff et al., 2012),
 //!   validated against the published test vectors,
 //! * [`Llbc`] — a CEASER-style *linear* low-latency cipher, kept as a
@@ -22,7 +23,7 @@
 //! ```
 //! use bp_crypto::{Qarma64, TweakableBlockCipher};
 //!
-//! let cipher = Qarma64::new(0x84be85ce9804e94b, 0xec2802d4e0a488e4);
+//! let cipher = Qarma64::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9);
 //! let ct = cipher.encrypt(0xfb623599da6e8127, 0x477d469dec0b8762);
 //! assert_eq!(cipher.decrypt(ct, 0x477d469dec0b8762), 0xfb623599da6e8127);
 //! ```

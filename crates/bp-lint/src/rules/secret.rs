@@ -6,7 +6,7 @@
 //! code book, the per-domain content keys, the index seeds. This module
 //! owns the *vocabulary* of that assumption — which type names, field
 //! names, and identifiers denote key material ([`SECRET_TYPES`],
-//! [`SECRET_FIELDS`], [`SECRET_IDENTS`]) — and one rule of its own:
+//! `SECRET_FIELDS`, `SECRET_IDENTS`) — and one rule of its own:
 //!
 //! * `secret-debug` — a key-material type deriving or implementing
 //!   `Debug`/`Display` means one `{:?}` anywhere prints the code book.

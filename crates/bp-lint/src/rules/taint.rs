@@ -8,7 +8,7 @@
 //! * parameters whose type mentions a key-material type
 //!   ([`super::secret::SECRET_TYPES`]) are tainted;
 //! * the canonical key-material identifiers
-//!   ([`super::secret::SECRET_IDENTS`]) are always tainted;
+//!   (`secret::SECRET_IDENTS`) are always tainted;
 //! * a `let` binding whose initializer span is tainted — contains a
 //!   tainted name, a key-material type, or a call to a key-returning
 //!   method on the [`TAINT_METHODS`] allowlist — taints every name it
@@ -29,7 +29,7 @@
 //! * `secret-taint-format` — a format/IO macro argument list, including
 //!   inline `{name}` captures of tainted locals;
 //! * `secret-taint-store` — assignment into a struct field not named
-//!   like key material ([`super::secret::SECRET_FIELDS`]): secrets must
+//!   like key material (`secret::SECRET_FIELDS`): secrets must
 //!   only rest in fields declared for them.
 //!
 //! The analysis is flow-insensitive within a body (the final environment

@@ -7,11 +7,12 @@
 //! panic the harness, never silently corrupt a CSV, and never force a full
 //! re-capture. This crate is that hardened layer:
 //!
-//! * [`TraceWriter`] streams [`BranchRecord`]s into the `.bpt` wire format:
-//!   a 16-byte file header, then fixed-layout chunks of varint
-//!   delta-encoded records, each chunk carrying a magic, sequence number,
-//!   record count and CRC32, closed by a trailer chunk with whole-file
-//!   totals (see `DESIGN.md` §"Trace format" for the byte layout).
+//! * [`TraceWriter`] streams [`BranchRecord`](bp_common::BranchRecord)s
+//!   into the `.bpt` wire format: a 16-byte file header, then fixed-layout
+//!   chunks of varint delta-encoded records, each chunk carrying a magic,
+//!   sequence number, record count and CRC32, closed by a trailer chunk
+//!   with whole-file totals (see `DESIGN.md` §"Trace format" for the byte
+//!   layout).
 //! * [`TraceReader`] decodes in one of two [`ReadMode`]s. **Strict** stops
 //!   at the first damage with a typed [`TraceError`] naming the exact chunk
 //!   and byte offset. **Lenient** resynchronizes to the next intact chunk

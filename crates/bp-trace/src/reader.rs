@@ -8,12 +8,12 @@
 //!   numbers and the trailer's whole-file totals. An intact file decodes to
 //!   exactly what was written; anything else is a typed refusal.
 //! * [`ReadMode::Lenient`] *resynchronizes*: on any chunk-level damage it
-//!   scans forward for the next [`CHUNK_MAGIC`](crate::CHUNK_MAGIC) that
-//!   heads a fully CRC-valid chunk, counts one skipped region in
-//!   [`TraceHealth`], and continues. Duplicate and stray chunks (botched
-//!   copies) are dropped by sequence-number bookkeeping. Only file-header
-//!   damage is fatal in lenient mode: a file whose version byte cannot be
-//!   trusted must not be guessed at.
+//!   scans forward for the next [`CHUNK_MAGIC`] that heads a fully
+//!   CRC-valid chunk, counts one skipped region in [`TraceHealth`], and
+//!   continues. Duplicate and stray chunks (botched copies) are dropped by
+//!   sequence-number bookkeeping. Only file-header damage is fatal in
+//!   lenient mode: a file whose version byte cannot be trusted must not be
+//!   guessed at.
 //!
 //! Resync never misfires on payload bytes that happen to spell `CHNK`: a
 //! candidate only ends the damaged region if its entire chunk validates, so

@@ -13,7 +13,7 @@
 //!    Each window also records its *seek anchor*: the byte offset of the
 //!    chunk its first record lives in plus the record's index within that
 //!    chunk. Chunks encode independently (deltas reset at each flush), so
-//!    a later replay can resume exactly there via [`RecordCursor::seek`].
+//!    a later replay can resume exactly there via [`RecordCursor::seek`](crate::RecordCursor::seek).
 //! 2. **Deterministic k-means** — k-means++ seeding off a [`SplitMix64`]
 //!    stream, Lloyd iterations with a fixed cap, strict lowest-index tie
 //!    breaking everywhere, no wall-clock and no ambient randomness: the

@@ -196,7 +196,7 @@ impl Mechanism {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when a Replication storage factor exceeds
-    /// [`MAX_REPLICATION_EXTRA_PCT`] or an embedded [`HybpConfig`] is
+    /// `MAX_REPLICATION_EXTRA_PCT` (1000) or an embedded [`HybpConfig`] is
     /// invalid.
     pub fn validate(&self) -> Result<(), ConfigError> {
         match self {
