@@ -45,6 +45,11 @@
 //! Usage: `bench_all [--only NAME,...] [OPTIONS]`; [`bench::cli`] documents
 //! every option.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "wall-clock seconds go only to run_report.json and the console timing table; no CSV reads them"
+)]
+
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;

@@ -18,6 +18,11 @@
 //! bench_sampling [--instructions N] [--spec k=K,window=W,...] [--check]
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "wall-clock seconds go only to the speedup line and its --check gate; no simulated number reads them"
+)]
+
 use std::process::ExitCode;
 use std::time::Instant;
 

@@ -157,8 +157,11 @@ pub fn parse_threads(v: &str) -> Result<usize, String> {
 /// Resolves the worker count when `--threads` is absent: a set
 /// `HYBP_THREADS` must parse (same strictness as the flag), otherwise the
 /// machine's available parallelism is used.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "HYBP_THREADS is an operator parallelism knob; it changes scheduling only, never the simulated results"
+)]
 fn threads_from_env() -> Result<usize, String> {
-    // bp-lint: allow(determinism-env) reason="HYBP_THREADS is an operator parallelism knob; it changes scheduling only, never the simulated results"
     match std::env::var("HYBP_THREADS") {
         Ok(v) => parse_threads(&v).map_err(|e| format!("HYBP_THREADS: {e}")),
         Err(_) => Ok(Pool::machine_sized().threads()),

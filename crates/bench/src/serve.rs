@@ -21,7 +21,11 @@
 //! dropped. The wall clock only ever feeds the throughput number and
 //! diagnostics — never the counters — hence the file-wide waiver below.
 
-// bp-lint: allow-file(determinism-time) reason="service soak harness: wall-clock predictions/sec is the deliverable (BENCH_serve.json trajectory); every checked counter is virtual-time and thread-invariant"
+#![expect(
+    clippy::disallowed_types,
+    reason = "service soak harness: wall-clock predictions/sec is the deliverable (BENCH_serve.json trajectory); every checked counter is virtual-time and thread-invariant"
+)]
+
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};

@@ -175,8 +175,11 @@ impl Checker {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "BP_CHECK_SEED is an explicit operator replay knob; unset in normal runs, and the chosen seed is echoed into the failure report"
+)]
 fn replay_seed() -> Option<u64> {
-    // bp-lint: allow(determinism-env) reason="BP_CHECK_SEED is an explicit operator replay knob; unset in normal runs, and the chosen seed is echoed into the failure report"
     let raw = std::env::var("BP_CHECK_SEED").ok()?;
     let raw = raw.trim();
     let parsed = if let Some(hex) = raw.strip_prefix("0x") {

@@ -53,11 +53,15 @@
 //! assert_eq!(out[2].as_ref().ok(), Some(&30));
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "pool wall-clock spans feed the diagnostic speed table only; simulated results never read them"
+)]
+
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-// bp-lint: allow-file(determinism-time) reason="pool wall-clock spans feed the diagnostic speed table only; simulated results never read them"
 use std::time::Instant;
 
 use crate::rng::SplitMix64;

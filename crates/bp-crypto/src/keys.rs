@@ -155,8 +155,7 @@ impl Default for KeysTableConfig {
 ///
 /// Derived from the ASID, the VMID and a value from a hardware random number
 /// generator or PUF; never visible to software, including the hypervisor.
-// No `Debug`: the seed is key material derived from the hardware RNG/PUF
-// (secret-hygiene, bp-lint secret-debug).
+// No `Debug`: the seed is key material derived from the hardware RNG/PUF.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IndexSeed(u64);
 
@@ -180,8 +179,7 @@ impl IndexSeed {
 }
 
 /// State of an in-flight, non-stalling code-book refresh.
-// No `Debug`: `old_keys` is the previous-generation code book
-// (secret-hygiene, bp-lint secret-debug).
+// No `Debug`: `old_keys` is the previous-generation code book.
 #[derive(Clone, PartialEq, Eq)]
 struct RefreshState {
     started_at: Cycle,
@@ -192,7 +190,7 @@ struct RefreshState {
 ///
 /// See the [module documentation](self) for the role this table plays.
 // No `Debug`/`Display`: `keys` is the live code book; printing it hands an
-// attacker the randomization secret (secret-hygiene, bp-lint secret-debug).
+// attacker the randomization secret.
 #[derive(Clone, PartialEq, Eq)]
 pub struct KeysTable {
     config: KeysTableConfig,
@@ -339,7 +337,6 @@ impl KeysTable {
     pub fn inject_bit_flip(&mut self, entry: usize, bit: u32) {
         let entry = entry % self.config.entries.max(1);
         let bit = bit % self.config.key_bits.max(1);
-        // bp-lint: allow(secret-taint-branch) reason="branches on the index bounds check (Option presence), never on key bit values"
         if let Some(k) = self.keys.get_mut(entry) {
             *k ^= 1u64 << bit;
         }
@@ -390,8 +387,7 @@ impl KeysTable {
 
 /// Per-`(hardware thread, privilege)` key state: the content key registers
 /// and the isolated keys table.
-// No `Debug`: holds the content key and the keys table
-// (secret-hygiene, bp-lint secret-debug).
+// No `Debug`: holds the content key and the keys table.
 #[derive(Clone, PartialEq, Eq)]
 pub struct DomainKeys {
     content_key: u64,
@@ -443,8 +439,7 @@ impl DomainKeys {
 /// `bp-faults` crate. Disturbances never change the *reported* refresh
 /// timing — [`KeyManager::renew`] always returns the nominal completion
 /// cycle, so no fault opens a timing channel.
-// No `Debug`: owns every isolation slot's key state
-// (secret-hygiene, bp-lint secret-debug).
+// No `Debug`: owns every isolation slot's key state.
 pub struct KeyManager {
     cipher: Box<dyn TweakableBlockCipher>,
     slots: Vec<DomainKeys>,

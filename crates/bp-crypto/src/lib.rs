@@ -89,7 +89,7 @@ pub trait TweakableBlockCipher: Send + Sync {
 /// This is the content-encoding primitive HyBP uses for table *contents*
 /// (where linearity is acceptable because contents are never used for
 /// indexing), and the strawman index cipher that `bp-attacks` breaks.
-// No `Debug`: `key` is key material (secret-hygiene, bp-lint secret-debug).
+// No `Debug`: `key` is key material.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct XorCipher {
     key: u64,

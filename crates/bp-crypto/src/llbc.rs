@@ -41,8 +41,7 @@ const ROUNDS: usize = 4;
 ///     c.encrypt(x ^ y ^ z, 7)
 /// );
 /// ```
-// No `Debug`: round keys are key material (secret-hygiene, bp-lint
-// secret-debug).
+// No `Debug`: round keys are key material.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Llbc {
     round_keys: [u64; ROUNDS],

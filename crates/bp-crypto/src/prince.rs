@@ -107,8 +107,7 @@ fn m_prime(x: u64) -> u64 {
 /// assert_eq!(c.encrypt_block(0), 0x818665aa0d02dfda);
 /// assert_eq!(c.decrypt_block(0x818665aa0d02dfda), 0);
 /// ```
-// No `Debug`: key halves are key material (secret-hygiene, bp-lint
-// secret-debug).
+// No `Debug`: key halves are key material.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Prince {
     k0: u64,

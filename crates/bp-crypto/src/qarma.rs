@@ -347,8 +347,7 @@ fn pseudo_reflect(is: u64, key: u64) -> u64 {
 /// applying it to a block touches no schedule state at all — which is what
 /// makes [`TweakableBlockCipher::encrypt_batch`] (a code-book refresh
 /// encrypts hundreds of words under one constant tweak) cheap.
-// No `Debug`: round tweakeys are key material (secret-hygiene, bp-lint
-// secret-debug).
+// No `Debug`: round tweakeys are key material.
 struct Schedule {
     rounds: usize,
     sbox: usize,
@@ -430,8 +429,7 @@ fn ortho(w: u64) -> u64 {
 /// assert_eq!(ct, 0xedf67ff370a483f2);
 /// assert_eq!(c.decrypt(ct, 0x477d469dec0b8762), 0xfb623599da6e8127);
 /// ```
-// No `Debug`: round keys are key material (secret-hygiene, bp-lint
-// secret-debug).
+// No `Debug`: round keys are key material.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Qarma64 {
     w0: u64,

@@ -290,8 +290,11 @@ impl PointFaultPlan {
     ///
     /// Propagates [`PointFaultPlan::parse`] errors, prefixed with the
     /// variable name.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the fault plan env var is an explicit operator injection knob; clean runs leave it unset and get the empty plan"
+    )]
     pub fn from_env() -> Result<PointFaultPlan, String> {
-        // bp-lint: allow(determinism-env) reason="the fault plan env var is an explicit operator injection knob; clean runs leave it unset and get the empty plan"
         match std::env::var(ENV_VAR) {
             Ok(spec) => PointFaultPlan::parse(&spec).map_err(|e| format!("{ENV_VAR}: {e}")),
             Err(_) => Ok(PointFaultPlan::empty()),

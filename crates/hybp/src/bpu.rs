@@ -158,8 +158,7 @@ enum CodecState {
 }
 
 /// The secure branch prediction unit.
-// No `Debug`: owns the codec and with it the key material
-// (secret-hygiene, bp-lint secret-debug).
+// No `Debug`: owns the codec and with it the key material.
 pub struct SecureBpu {
     mechanism: Mechanism,
     n_hw_threads: usize,

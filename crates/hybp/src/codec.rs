@@ -34,8 +34,7 @@ pub struct CodecStats {
 
 /// HyBP's table codec. One instance serves the whole BPU; the owner sets the
 /// active security context (slot, ASID) before each branch.
-// No `Debug`: contains the [`KeyManager`] and with it every slot's key
-// state (secret-hygiene, bp-lint secret-debug).
+// No `Debug`: contains the [`KeyManager`] and with it every slot's key state.
 pub struct HybpCodec {
     key_manager: KeyManager,
     keys_index_bits: u32,
@@ -130,7 +129,6 @@ impl HybpCodec {
         let (key, renewed) = self
             .key_manager
             .index_key(self.slot, pc_slice, self.asid, self.vmid, now);
-        // bp-lint: allow(secret-taint-branch) reason="`renewed` is the key manager's public renewal event flag (already observable as a timing event), not key bit values"
         if renewed {
             self.stats.counter_renewals += 1;
         }
