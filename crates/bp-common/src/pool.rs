@@ -53,16 +53,10 @@
 //! assert_eq!(out[2].as_ref().ok(), Some(&30));
 //! ```
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "pool wall-clock spans feed the diagnostic speed table only; simulated results never read them"
-)]
-
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use crate::rng::SplitMix64;
 use crate::telemetry::{Observable, TelemetrySnapshot};
@@ -222,11 +216,9 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Lifetime counters a pool accumulates across every map it runs.
-///
-/// Wall-clock figures are *observability only*: they appear in the pool's
-/// [`TelemetrySnapshot`] but never in the deterministic event stream, so
-/// they cannot perturb reproduction verdicts.
+/// Lifetime counters a pool accumulates across every map it runs. They
+/// appear in the pool's [`TelemetrySnapshot`], never in the deterministic
+/// event stream.
 #[derive(Debug, Default)]
 struct PoolCounters {
     /// Task executions (each retry attempt counts as one execution).
@@ -235,12 +227,10 @@ struct PoolCounters {
     retries: AtomicU64,
     /// Executions that ended in a caught panic.
     panics: AtomicU64,
-    /// Total wall time spent inside task closures, in nanoseconds.
-    task_nanos: AtomicU64,
 }
 
 impl PoolCounters {
-    fn record(&self, attempt: u32, panicked: bool, elapsed_nanos: u64) {
+    fn record(&self, attempt: u32, panicked: bool) {
         self.tasks.fetch_add(1, Ordering::Relaxed);
         if attempt > 1 {
             self.retries.fetch_add(1, Ordering::Relaxed);
@@ -248,7 +238,6 @@ impl PoolCounters {
         if panicked {
             self.panics.fetch_add(1, Ordering::Relaxed);
         }
-        self.task_nanos.fetch_add(elapsed_nanos, Ordering::Relaxed);
     }
 }
 
@@ -267,13 +256,8 @@ where
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| f(index, item, attempt)));
-        counters.record(
-            attempt,
-            outcome.is_err(),
-            started.elapsed().as_nanos() as u64,
-        );
+        counters.record(attempt, outcome.is_err());
         match outcome {
             Ok(Ok(r)) => return Ok(r),
             Ok(Err(e)) => {
@@ -392,10 +376,8 @@ impl Pool {
             return items
                 .iter()
                 .map(|item| {
-                    let started = Instant::now();
                     let r = f(item);
-                    self.counters
-                        .record(1, false, started.elapsed().as_nanos() as u64);
+                    self.counters.record(1, false);
                     r
                 })
                 .collect();
@@ -419,13 +401,8 @@ impl Pool {
                         // so sibling workers stop claiming immediately, then
                         // re-raise with the original payload for the join
                         // below to propagate.
-                        let started = Instant::now();
                         let outcome = catch_unwind(AssertUnwindSafe(|| f(&items[i])));
-                        self.counters.record(
-                            1,
-                            outcome.is_err(),
-                            started.elapsed().as_nanos() as u64,
-                        );
+                        self.counters.record(1, outcome.is_err());
                         let r = match outcome {
                             Ok(r) => r,
                             Err(payload) => {
@@ -552,18 +529,13 @@ impl Default for Pool {
 
 impl Observable for Pool {
     /// Lifetime work counters across every map this pool (and its clones)
-    /// has run. `task_nanos` is wall time inside task closures — useful
-    /// for spotting skew, meaningless for reproduction verdicts.
+    /// has run.
     fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot::new("pool")
             .with("threads", self.threads as u64)
             .with("tasks", self.counters.tasks.load(Ordering::Relaxed))
             .with("retries", self.counters.retries.load(Ordering::Relaxed))
             .with("panics", self.counters.panics.load(Ordering::Relaxed))
-            .with(
-                "task_nanos",
-                self.counters.task_nanos.load(Ordering::Relaxed),
-            )
     }
 }
 

@@ -308,18 +308,27 @@ impl KeysTable {
     /// never an abort.
     #[inline]
     pub fn key_at(&mut self, entry: usize, now: Cycle) -> u64 {
+        self.key_at_n(entry, now, 1)
+    }
+
+    /// `n` reads of `entry` in the same cycle, counted in one step: returns
+    /// the key, and leaves every counter and the refresh state exactly as
+    /// `n` calls of [`KeysTable::key_at`] would. All `n` reads see the same
+    /// word state, so all are stale or none is.
+    #[inline]
+    pub fn key_at_n(&mut self, entry: usize, now: Cycle, n: u64) -> u64 {
         let entry = if entry < self.config.entries {
             entry
         } else {
-            self.anomalous_reads += 1;
+            self.anomalous_reads += n;
             entry % self.config.entries
         };
-        self.accesses_since_refresh += 1;
+        self.accesses_since_refresh += n;
         if let Some(refresh) = &self.refresh {
             let word_idx = (entry / self.config.keys_per_word()) as Cycle;
             let rewritten_at = refresh.started_at + self.config.pipeline_fill + word_idx + 1;
             if now < rewritten_at {
-                self.stale_hits += 1;
+                self.stale_hits += n;
                 return refresh.old_keys.get(entry).copied().unwrap_or(0);
             }
             // Drop the old generation once the whole table is rewritten.
@@ -596,11 +605,10 @@ impl KeyManager {
         now: Cycle,
     ) -> (u64, bool) {
         let slot = self.clamp_slot(slot);
-        let entries = self.slots[slot].table().config().entries;
-        let entry = bp_common::fast_mod_usize(pc_slice as usize, entries);
+        let entry = self.entry(slot, pc_slice);
         // Borrow rather than clone: `faults` and `slots` are disjoint fields,
-        // and this runs once per randomized-table transform (about 30 per
-        // TAGE predict).
+        // and this runs once per key read that cannot take
+        // `index_key_n`'s one-step path.
         if let Some(f) = &self.faults {
             let key_bits = self.slots[slot].table().config().key_bits;
             if let Some(bit) = f.on_key_read(slot, entry, key_bits, now) {
@@ -617,6 +625,29 @@ impl KeyManager {
             return (key, true);
         }
         (key, false)
+    }
+
+    /// `n` reads of the index key [`KeyManager::index_key`] would return,
+    /// counted in one step — or `None`, with nothing read or counted, when
+    /// the reads must go one at a time: when a fault injector is attached
+    /// (it acts on every read), or when the `n` reads would reach the
+    /// renewal threshold (a renewal would land mid-way).
+    #[inline]
+    pub fn index_key_n(&mut self, slot: usize, pc_slice: u64, n: u64, now: Cycle) -> Option<u64> {
+        let slot = self.clamp_slot(slot);
+        let table = self.slots[slot].table();
+        if self.faults.is_some() || table.accesses_since_refresh() + n >= self.threshold {
+            return None;
+        }
+        let entry = self.entry(slot, pc_slice);
+        Some(self.slots[slot].table_mut().key_at_n(entry, now, n))
+    }
+
+    /// The keys-table entry a PC slice selects in `slot`.
+    #[inline]
+    fn entry(&self, slot: usize, pc_slice: u64) -> usize {
+        let entries = self.slots[slot].table().config().entries;
+        bp_common::fast_mod_usize(pc_slice as usize, entries)
     }
 
     /// The content key currently active for `slot`.
@@ -868,6 +899,103 @@ mod tests {
             (0..cfg.entries).any(|e| (e / per_word) as Cycle + cfg.pipeline_fill + 1 + g2 <= g3)
         );
         assert!((0..cfg.entries).any(|e| (e / per_word) as Cycle + cfg.pipeline_fill + 1 + g2 > g3));
+    }
+
+    /// One `n`-read leaves the table exactly as `n` single reads do: before
+    /// any refresh, on a stale word and on a rewritten word mid-refresh,
+    /// and on the read that retires the refresh.
+    #[test]
+    fn batched_reads_match_single_reads() {
+        let cfg = KeysTableConfig::paper_default();
+        let c = cipher();
+        let fresh = table(cfg);
+        let mut refreshed = table(cfg);
+        refreshed.begin_refresh(&c, IndexSeed::derive(Asid::new(1), Vmid::new(0), 1), 0, 0);
+        let start: Cycle = 10_000;
+        refreshed.begin_refresh(
+            &c,
+            IndexSeed::derive(Asid::new(1), Vmid::new(0), 2),
+            77,
+            start,
+        );
+        let last_word_at = start + refreshed.refresh_duration() - 1;
+        let cases = [
+            ("before any refresh", &fresh, 5, 0),
+            ("stale word", &refreshed, 1023, start + 8),
+            ("rewritten word", &refreshed, 0, start + 8),
+            (
+                "retiring read",
+                &refreshed,
+                1023,
+                start + refreshed.refresh_duration(),
+            ),
+        ];
+        for (case, base, entry, now) in cases {
+            for n in [1, 2, 30] {
+                let (mut single, mut batched) = (base.clone(), base.clone());
+                let mut key = 0;
+                for _ in 0..n {
+                    key = single.key_at(entry, now);
+                }
+                assert_eq!(batched.key_at_n(entry, now, n), key, "{case}, n = {n}");
+                assert_eq!(
+                    (batched.accesses_since_refresh(), batched.stale_hits()),
+                    (single.accesses_since_refresh(), single.stale_hits()),
+                    "{case}, n = {n}"
+                );
+                assert_eq!(batched.generation(), single.generation(), "{case}");
+                // Also the refresh state: retired alike, or still in flight.
+                assert!(batched == single, "{case}, n = {n}: whole table state");
+            }
+        }
+        // The cases reach both sides of each branch they name.
+        let mut stale = refreshed.clone();
+        let _ = stale.key_at(1023, start + 8);
+        assert_eq!(stale.stale_hits(), refreshed.stale_hits() + 1);
+        let mut retired = refreshed.clone();
+        let _ = retired.key_at(1023, start + refreshed.refresh_duration());
+        assert!(retired != refreshed && !retired.refresh_in_flight(last_word_at));
+    }
+
+    /// The batched manager read declines exactly when a renewal could fire
+    /// inside the `n` reads or a fault injector is attached (even one that
+    /// never fires), and then reads and counts nothing.
+    #[test]
+    fn batched_manager_read_declines_only_near_the_threshold_or_under_faults() {
+        let threshold = 100;
+        let mut km = manager(1, KeysTableConfig::paper_default(), threshold, 43);
+        km.renew(0, Asid::new(3), Vmid::new(1), 0);
+        let mut single = manager(1, KeysTableConfig::paper_default(), threshold, 43);
+        single.renew(0, Asid::new(3), Vmid::new(1), 0);
+        let accesses = |km: &KeyManager| km.slot(0).table().accesses_since_refresh();
+        // 40 + 30 reads stay below 100; the next 30 would reach it.
+        for (n, total) in [(40, 40), (30, 70)] {
+            let key = km
+                .index_key_n(0, 0x55, n, 5_000)
+                .expect("below the threshold");
+            let mut single_key = 0;
+            for _ in 0..n {
+                let (k, renewed) = single.index_key(0, 0x55, Asid::new(3), Vmid::new(1), 5_000);
+                assert!(!renewed);
+                single_key = k;
+            }
+            assert_eq!(key, single_key);
+            assert_eq!(accesses(&km), total);
+        }
+        assert_eq!(km.index_key_n(0, 0x55, 30, 5_000), None, "70 + 30 >= 100");
+        assert_eq!(
+            km.index_key_n(0, 0x55, 29, 5_000).map(|_| accesses(&km)),
+            Some(99)
+        );
+        assert_eq!(km.index_key_n(0, 0x55, 1, 5_000), None, "99 + 1 >= 100");
+        assert_eq!(accesses(&km), 99, "a declined read counts nothing");
+
+        let mut faulted = manager(1, KeysTableConfig::paper_default(), threshold, 43);
+        faulted.set_fault_injector(Some(FaultInjector::from_plan(FaultPlan::new(0))));
+        assert_eq!(faulted.index_key_n(0, 0x55, 1, 5_000), None, "empty plan");
+        assert_eq!(faulted.slot(0).table().accesses_since_refresh(), 0);
+        faulted.set_fault_injector(None);
+        assert!(faulted.index_key_n(0, 0x55, 1, 5_000).is_some());
     }
 
     #[test]

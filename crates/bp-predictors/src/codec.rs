@@ -74,6 +74,27 @@ pub trait TableCodec {
     /// under an older key decodes to garbage — which is the security
     /// property HyBP relies on.
     fn decode_content(&mut self, table: TableId, stored: u64) -> u64;
+
+    /// The keys of one TAGE walk, one `(index key, tag key)` pair per tagged
+    /// table, table 0 first: the walk uses `raw_index ^ keys[i].0` and
+    /// `raw_tag ^ keys[i].1` for table *i*.
+    ///
+    /// The default makes the per-access calls in walk order — table 0's
+    /// index, then its tag, then table 1's — with a raw value of 0:
+    /// `transform_index(TageTagged i, 0, …)` and
+    /// `transform_tag(TageTagged i, 0, …)`. This is exact for any codec
+    /// whose tagged-table transforms are `raw ^ key`, with a key that does
+    /// not depend on the raw value; a codec must keep that form, or
+    /// override this method to match its transforms. An override must
+    /// leave the codec's counters and key state as the per-access calls
+    /// would.
+    fn tagged_walk_keys(&mut self, pc: Addr, now: Cycle, keys: &mut [(u64, u64)]) {
+        for (i, k) in keys.iter_mut().enumerate() {
+            let table = TableId::new(TableUnit::TageTagged, i);
+            let index_key = self.transform_index(table, 0, pc, now);
+            *k = (index_key, self.transform_tag(table, 0, pc, now));
+        }
+    }
 }
 
 /// The identity codec: conventional, unprotected table access.
@@ -102,6 +123,10 @@ impl TableCodec for IdentityCodec {
 
     fn decode_content(&mut self, _table: TableId, stored: u64) -> u64 {
         stored
+    }
+
+    fn tagged_walk_keys(&mut self, _pc: Addr, _now: Cycle, keys: &mut [(u64, u64)]) {
+        keys.fill((0, 0));
     }
 }
 

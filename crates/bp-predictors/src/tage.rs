@@ -15,9 +15,18 @@
 //! and the per-thread history registers across `slots` isolation slots while
 //! keeping a single set of tagged tables; every prediction names the slot it
 //! executes in. The single-slot constructors model conventional hardware.
+//!
+//! # Layout
+//!
+//! A tagged entry is one `u16` (partial tag in bits 4–15, 3-bit signed
+//! counter in bits 1–3, useful bit in bit 0; all-zero is empty), and every
+//! tagged table lives in one allocation owned by [`Tage`], each table an
+//! offset with its index width and masks fixed at construction. A walk
+//! takes all its keys from one [`TableCodec::tagged_walk_keys`] call and
+//! keeps each table's entry position and tag in `Tage` for the update.
 
 use crate::bimodal::Bimodal;
-use crate::codec::{TableCodec, TableId, TableUnit};
+use crate::codec::TableCodec;
 use bp_common::history::{GlobalHistory, PathHistory};
 use bp_common::rng::SplitMix64;
 use bp_common::{fast_mod, fast_mod_usize, Addr, Cycle};
@@ -135,42 +144,78 @@ impl TageConfig {
     }
 }
 
+/// Widest partial tag a [`TaggedEntry`] holds.
+const MAX_TAG_BITS: u32 = 12;
+
+/// One tagged entry packed into 16 bits: the partial tag in bits 4–15, the
+/// 3-bit signed prediction counter (two's complement) in bits 1–3 and the
+/// 1-bit useful counter in bit 0 — the CBP TAGE-SC-L entry layout.
+///
+/// All-zero is the empty (never allocated) entry, so an empty entry cannot
+/// match tag 0 by luck: a lookup matches only a non-zero entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TaggedEntry {
-    tag: u64,
-    /// Signed counter; sign gives the prediction.
-    ctr: i8,
-    /// Useful counter.
-    u: u8,
-}
+struct TaggedEntry(u16);
 
 impl TaggedEntry {
-    const EMPTY: TaggedEntry = TaggedEntry {
-        tag: 0,
-        ctr: 0,
-        u: 0,
-    };
+    const EMPTY: TaggedEntry = TaggedEntry(0);
+    const CTR_MAX: i8 = 3;
+    const CTR_MIN: i8 = -4;
+
+    /// A freshly allocated entry: weak in the resolved direction
+    /// (counter 0 if taken, −1 if not), not useful.
+    fn allocated(tag: u16, taken: bool) -> Self {
+        TaggedEntry((tag << 4) | if taken { 0 } else { 0b1110 })
+    }
+
+    fn matches(self, tag: u16) -> bool {
+        self.0 != 0 && self.0 >> 4 == tag
+    }
+
+    fn ctr(self) -> i8 {
+        // Bits 1–3 to the top of an i8, then an arithmetic shift
+        // sign-extends them.
+        ((self.0 as i8) << 4) >> 5
+    }
+
+    fn taken(self) -> bool {
+        self.ctr() >= 0
+    }
+
+    fn weak(self) -> bool {
+        matches!(self.ctr(), 0 | -1)
+    }
+
+    fn useful(self) -> bool {
+        self.0 & 1 != 0
+    }
+
+    fn set_useful(&mut self, useful: bool) {
+        self.0 = (self.0 & !1) | u16::from(useful);
+    }
+
+    fn train(&mut self, taken: bool) {
+        let c = self.ctr();
+        let c = if taken {
+            (c + 1).min(Self::CTR_MAX)
+        } else {
+            (c - 1).max(Self::CTR_MIN)
+        };
+        self.0 = (self.0 & !0b1110) | ((c as u16 & 0b111) << 1);
+    }
 }
 
+/// Where one tagged table lives in [`Tage`]'s entry block, and the index
+/// and tag constants its walk needs, computed once at construction.
 #[derive(Debug, Clone)]
 struct TaggedTable {
-    config: TaggedTableConfig,
-    id: TableId,
-    entries: Vec<TaggedEntry>,
-}
-
-impl TaggedTable {
-    fn new(config: TaggedTableConfig, table_num: usize) -> Self {
-        TaggedTable {
-            id: TableId::new(TableUnit::TageTagged, table_num),
-            entries: vec![TaggedEntry::EMPTY; config.entries],
-            config,
-        }
-    }
-
-    fn flush(&mut self) {
-        self.entries.fill(TaggedEntry::EMPTY);
-    }
+    /// First entry of this table in the block.
+    offset: usize,
+    entries: u64,
+    /// Index width: `ceil(log2(entries))`, at least 1.
+    index_bits: u32,
+    /// Low `min(index_bits, 16)` bits: the path history hashed into the index.
+    path_mask: u64,
+    tag_mask: u64,
 }
 
 /// Per-slot history state: the global/path registers and the folded
@@ -292,15 +337,14 @@ pub struct TagePrediction {
 
 const MAX_TABLES: usize = 24;
 
-/// Saved state between `predict` and `update` for one branch.
+/// Saved state between `predict` and `update` for one branch; the walk's
+/// entry positions and tags stay in [`Tage`]'s `walk_idx`/`walk_tag`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TageLookupState {
     pc: u64,
     slot: usize,
     pred: TagePrediction,
     provider_idx: usize,
-    indices: [u64; MAX_TABLES],
-    tags: [u64; MAX_TABLES],
 }
 
 /// The TAGE predictor (per-slot bases + shared tagged tables).
@@ -308,8 +352,14 @@ struct TageLookupState {
 pub struct Tage {
     config: TageConfig,
     bases: Vec<Bimodal>,
+    /// Every tagged table's entries, table 0 first, in one allocation.
+    entries: Vec<TaggedEntry>,
     tables: Vec<TaggedTable>,
     histories: Vec<HistoryState>,
+    /// The last walk's entry position in `entries`, per table.
+    walk_idx: [u32; MAX_TABLES],
+    /// The last walk's (transformed) tag, per table.
+    walk_tag: [u16; MAX_TABLES],
     /// Counter choosing alt-pred for newly allocated weak providers.
     use_alt_on_new_alloc: i8,
     updates: u64,
@@ -339,7 +389,9 @@ impl Tage {
     /// # Panics
     ///
     /// Panics if a slot count is zero, there are no tagged tables, or more
-    /// than 24.
+    /// than 24; and if an entry does not fit the 16-bit packing (a tag
+    /// wider than 12 bits, a counter other than 3 bits or a useful counter
+    /// other than 1 bit) or the tables hold more than `u32::MAX` entries.
     pub fn with_layout(config: TageConfig, base_slots: usize, history_slots: usize) -> Self {
         let slots = base_slots;
         assert!(slots > 0 && history_slots > 0, "need at least one slot");
@@ -347,20 +399,44 @@ impl Tage {
             !config.tagged.is_empty() && config.tagged.len() <= MAX_TABLES,
             "tagged table count must be 1..=24"
         );
-        let tables = config
+        assert!(
+            config.ctr_bits == 3
+                && config.u_bits == 1
+                && config.tagged.iter().all(|t| t.tag_bits <= MAX_TAG_BITS),
+            "tagged entries pack into 16 bits: 3-bit counter, 1-bit useful, tags up to 12 bits"
+        );
+        let mut offset = 0;
+        let tables: Vec<TaggedTable> = config
             .tagged
             .iter()
-            .enumerate()
-            .map(|(i, &c)| TaggedTable::new(c, i))
+            .map(|c| {
+                let index_bits = (usize::BITS - (c.entries - 1).leading_zeros()).max(1);
+                let t = TaggedTable {
+                    offset,
+                    entries: c.entries as u64,
+                    index_bits,
+                    path_mask: (1u64 << index_bits.min(16)) - 1,
+                    tag_mask: (1u64 << c.tag_bits) - 1,
+                };
+                offset += c.entries;
+                t
+            })
             .collect();
+        assert!(
+            u32::try_from(offset).is_ok(),
+            "tagged tables must hold at most u32::MAX entries"
+        );
         Tage {
             bases: (0..slots)
                 .map(|_| Bimodal::new(config.base_entries.next_power_of_two(), 1))
                 .collect(),
+            entries: vec![TaggedEntry::EMPTY; offset],
             tables,
             histories: (0..history_slots)
                 .map(|_| HistoryState::new(&config.tagged))
                 .collect(),
+            walk_idx: [0; MAX_TABLES],
+            walk_tag: [0; MAX_TABLES],
             use_alt_on_new_alloc: 0,
             updates: 0,
             alloc_rng: SplitMix64::new(0x7A6E),
@@ -384,29 +460,16 @@ impl Tage {
         self.bases.len()
     }
 
-    fn raw_index(&self, table: usize, slot: usize, pc: Addr) -> u64 {
-        let t = &self.tables[table];
-        let bits = (usize::BITS - (t.config.entries - 1).leading_zeros()).max(1);
-        let p = pc.raw() >> 2;
-        let h = &self.histories[fast_mod_usize(slot, self.histories.len())];
-        let (fi, _, _) = h.folds(table);
-        p ^ (p >> bits) ^ fi ^ h.path.low_bits(bits.min(16) as usize)
-    }
-
-    fn raw_tag(&self, table: usize, slot: usize, pc: Addr) -> u64 {
-        let t = &self.tables[table];
-        let mask = (1u64 << t.config.tag_bits) - 1;
-        let (_, f1, f2) = self.histories[fast_mod_usize(slot, self.histories.len())].folds(table);
-        ((pc.raw() >> 2) ^ f1 ^ (f2 << 1)) & mask
-    }
-
     /// Detailed prediction for a branch executing in `slot`.
     ///
     /// Generic over the codec so concrete codecs (HyBP's QARMA-backed codec,
-    /// the identity codec) inline their transforms into the table walk. Only
-    /// the tagged tables go through the codec; the base predictor is
-    /// isolated per slot and indexed by PC alone. The walk itself is allocation-free: the provider/alternate search tracks
-    /// the last two matching tables in scalars instead of a match list.
+    /// the identity codec) inline into the table walk. Only the tagged
+    /// tables go through the codec, and only through one
+    /// [`TableCodec::tagged_walk_keys`] call per walk: the codec's key for
+    /// table *i* is XOR-ed into its raw index and raw tag. The base
+    /// predictor is isolated per slot and indexed by PC alone. The walk is
+    /// allocation-free: the provider/alternate search tracks the last two
+    /// matching tables in scalars instead of a match list.
     ///
     /// # Panics
     ///
@@ -418,52 +481,46 @@ impl Tage {
         codec: &mut C,
         now: Cycle,
     ) -> TagePrediction {
-        let slot_b = fast_mod_usize(slot, self.bases.len());
-        let mut indices = [0u64; MAX_TABLES];
-        let mut tags = [0u64; MAX_TABLES];
+        let mut keys = [(0u64, 0u64); MAX_TABLES];
+        codec.tagged_walk_keys(pc, now, &mut keys[..self.tables.len()]);
+        let h = &self.histories[fast_mod_usize(slot, self.histories.len())];
+        let p = pc.raw() >> 2;
+        let path = h.path.low_bits(16);
         let mut match_count = 0usize;
         let mut last_match = usize::MAX;
         let mut second_last = usize::MAX;
-        for i in 0..self.tables.len() {
-            let raw_idx = self.raw_index(i, slot, pc);
-            let raw_tag = self.raw_tag(i, slot, pc);
-            let t = &self.tables[i];
-            let idx = fast_mod(
-                codec.transform_index(t.id, raw_idx, pc, now),
-                t.config.entries as u64,
-            );
-            let tag =
-                codec.transform_tag(t.id, raw_tag, pc, now) & ((1u64 << t.config.tag_bits) - 1);
-            indices[i] = idx;
-            tags[i] = tag;
-            let e = &t.entries[idx as usize];
-            // An empty entry (never allocated) cannot match tag 0 by luck:
-            // require either non-zero counter state or a non-zero tag.
-            if e.tag == tag && (e.ctr != 0 || e.u != 0 || e.tag != 0) {
+        for (i, (t, &(index_key, tag_key))) in self.tables.iter().zip(&keys).enumerate() {
+            let (fi, f1, f2) = h.folds(i);
+            let raw_idx = p ^ (p >> t.index_bits) ^ fi ^ (path & t.path_mask);
+            let raw_tag = (p ^ f1 ^ (f2 << 1)) & t.tag_mask;
+            let pos = t.offset + fast_mod(raw_idx ^ index_key, t.entries) as usize;
+            let tag = ((raw_tag ^ tag_key) & t.tag_mask) as u16;
+            self.walk_idx[i] = pos as u32;
+            self.walk_tag[i] = tag;
+            if self.entries[pos].matches(tag) {
                 second_last = last_match;
                 last_match = i;
                 match_count += 1;
             }
         }
-        let base_pred = self.bases[slot_b].predict(pc);
+        let base_pred = self.bases[fast_mod_usize(slot, self.bases.len())].predict(pc);
         let (provider, alt) = match match_count {
             0 => (None, None),
             1 => (Some(last_match), None),
             _ => (Some(last_match), Some(second_last)),
         };
         let alt_taken = match alt {
-            Some(a) => self.tables[a].entries[indices[a] as usize].ctr >= 0,
+            Some(a) => self.walk_entry(a).taken(),
             None => base_pred,
         };
         let pred = match provider {
             Some(p) => {
-                let e = &self.tables[p].entries[indices[p] as usize];
-                let weak = e.ctr == 0 || e.ctr == -1;
-                let newly = e.u == 0;
-                let taken = if weak && newly && self.use_alt_on_new_alloc >= 0 {
+                let e = self.walk_entry(p);
+                let weak = e.weak();
+                let taken = if weak && !e.useful() && self.use_alt_on_new_alloc >= 0 {
                     alt_taken
                 } else {
-                    e.ctr >= 0
+                    e.taken()
                 };
                 TagePrediction {
                     taken,
@@ -484,10 +541,17 @@ impl Tage {
             slot,
             pred,
             provider_idx: provider.unwrap_or(usize::MAX),
-            indices,
-            tags,
         });
         pred
+    }
+
+    /// Table `i`'s entry at the last walk's position.
+    fn walk_entry(&self, i: usize) -> TaggedEntry {
+        self.entries[self.walk_idx[i] as usize]
+    }
+
+    fn walk_entry_mut(&mut self, i: usize) -> &mut TaggedEntry {
+        &mut self.entries[self.walk_idx[i] as usize]
     }
 
     /// Trains with the resolved outcome; must follow
@@ -523,20 +587,16 @@ impl Tage {
             }
         };
         self.updates += 1;
-        let ctr_max = (1i8 << (self.config.ctr_bits - 1)) - 1;
-        let ctr_min = -(1i8 << (self.config.ctr_bits - 1));
-        let u_max = ((1u16 << self.config.u_bits) - 1) as u8;
 
         let provider = state.provider_idx;
         let mispredicted = state.pred.taken != taken;
 
         if provider != usize::MAX {
-            let idx = state.indices[provider] as usize;
-            let provider_pred = self.tables[provider].entries[idx].ctr >= 0;
-            let e_u = self.tables[provider].entries[idx].u;
+            let e = self.walk_entry(provider);
+            let provider_pred = e.taken();
             // use_alt counter: trained when the provider was weak & new and
             // disagreed with the alternate.
-            if state.pred.weak && e_u == 0 && provider_pred != state.pred.alt_taken {
+            if state.pred.weak && !e.useful() && provider_pred != state.pred.alt_taken {
                 let alt_correct = state.pred.alt_taken == taken;
                 self.use_alt_on_new_alloc = if alt_correct {
                     (self.use_alt_on_new_alloc + 1).min(7)
@@ -544,21 +604,12 @@ impl Tage {
                     (self.use_alt_on_new_alloc - 1).max(-8)
                 };
             }
+            let e = self.walk_entry_mut(provider);
             // Useful bit: provider differs from alt and was correct.
             if provider_pred != state.pred.alt_taken {
-                let e = &mut self.tables[provider].entries[idx];
-                if provider_pred == taken {
-                    e.u = (e.u + 1).min(u_max);
-                } else {
-                    e.u = e.u.saturating_sub(1);
-                }
+                e.set_useful(provider_pred == taken);
             }
-            let e = &mut self.tables[provider].entries[idx];
-            e.ctr = if taken {
-                (e.ctr + 1).min(ctr_max)
-            } else {
-                (e.ctr - 1).max(ctr_min)
-            };
+            e.train(taken);
         } else {
             let b = fast_mod_usize(slot, self.bases.len());
             self.bases[b].update(pc, taken);
@@ -584,7 +635,7 @@ impl Tage {
                 let mut first_free = usize::MAX;
                 let mut second_free = usize::MAX;
                 for j in start..self.tables.len() {
-                    if self.tables[j].entries[state.indices[j] as usize].u == 0 {
+                    if !self.walk_entry(j).useful() {
                         if first_free == usize::MAX {
                             first_free = j;
                         } else {
@@ -595,8 +646,7 @@ impl Tage {
                 }
                 if first_free == usize::MAX {
                     for j in start..self.tables.len() {
-                        let e = &mut self.tables[j].entries[state.indices[j] as usize];
-                        e.u = e.u.saturating_sub(1);
+                        self.walk_entry_mut(j).set_useful(false);
                     }
                 } else {
                     // Prefer shorter history with a random skew, as in the
@@ -609,21 +659,15 @@ impl Tage {
                     } else {
                         first_free
                     };
-                    let e = &mut self.tables[pick].entries[state.indices[pick] as usize];
-                    *e = TaggedEntry {
-                        tag: state.tags[pick],
-                        ctr: if taken { 0 } else { -1 },
-                        u: 0,
-                    };
+                    let tag = self.walk_tag[pick];
+                    *self.walk_entry_mut(pick) = TaggedEntry::allocated(tag, taken);
                 }
             }
         }
 
         if self.updates.is_multiple_of(self.config.u_reset_period) {
-            for t in &mut self.tables {
-                for e in &mut t.entries {
-                    e.u >>= 1;
-                }
+            for e in &mut self.entries {
+                e.set_useful(false);
             }
         }
 
@@ -636,9 +680,7 @@ impl Tage {
         for b in &mut self.bases {
             b.flush();
         }
-        for t in &mut self.tables {
-            t.flush();
-        }
+        self.entries.fill(TaggedEntry::EMPTY);
         for h in &mut self.histories {
             h.clear();
         }
@@ -663,10 +705,10 @@ impl Tage {
 
     /// Occupancy (allocated entries) of tagged table `i` (analysis helper).
     pub fn tagged_occupancy(&self, i: usize) -> usize {
-        self.tables[i]
-            .entries
+        let t = &self.tables[i];
+        self.entries[t.offset..t.offset + t.entries as usize]
             .iter()
-            .filter(|e| e.tag != 0 || e.ctr != 0 || e.u != 0)
+            .filter(|&&e| e != TaggedEntry::EMPTY)
             .count()
     }
 
@@ -864,6 +906,46 @@ mod tests {
             big_acc >= small_acc - 0.01,
             "full-size TAGE ({big_acc}) must not lose to quarter ({small_acc})"
         );
+    }
+
+    #[test]
+    fn packed_entry_is_a_tag_a_3_bit_signed_counter_and_a_useful_bit() {
+        for tag in [0u16, 1, 0xABC, 0xFFF] {
+            for taken in [false, true] {
+                let mut e = TaggedEntry::allocated(tag, taken);
+                let mut want: i8 = if taken { 0 } else { -1 };
+                assert!(e.ctr() == want && e.weak() && !e.useful());
+                for step in 0..24 {
+                    let t = step % 9 < 5;
+                    e.train(t);
+                    want = if t {
+                        (want + 1).min(3)
+                    } else {
+                        (want - 1).max(-4)
+                    };
+                    assert_eq!(e.ctr(), want, "tag {tag:#x} step {step}");
+                    assert_eq!(e.taken(), want >= 0);
+                    e.set_useful(step % 2 == 0);
+                    assert_eq!(e.useful(), step % 2 == 0);
+                    assert_eq!(e.ctr(), want, "the useful bit leaves the counter");
+                    // Tag 0 with counter 0 and no useful bit is all-zero.
+                    assert_eq!(e.matches(tag), e != TaggedEntry::EMPTY);
+                    assert!(!e.matches(tag ^ 1));
+                }
+            }
+        }
+        // Empty never matches, not even tag 0; a not-taken allocation with
+        // tag 0 is non-zero and does.
+        assert!(!TaggedEntry::EMPTY.matches(0));
+        assert!(TaggedEntry::allocated(0, false).matches(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "pack into 16 bits")]
+    fn geometry_that_does_not_pack_is_rejected() {
+        let mut cfg = TageConfig::paper_scl();
+        cfg.tagged[3].tag_bits = 13;
+        let _ = Tage::new(cfg);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! the plaintext index. Content (and the partial tag, which is stored
 //! content) is XOR-encrypted with the per-slot content key. Every keys-table
 //! access is counted, and crossing the renewal threshold re-keys the slot
-//! automatically (§V-D).
+//! automatically (§V-D). A TAGE walk reads one `(slot, PC-slice)` entry for
+//! all its tables; [`HybpCodec`]'s `tagged_walk_keys` fetches it once when
+//! no fault or renewal can land inside the walk.
 
 use bp_common::{Addr, Asid, ConfigError, Cycle, Vmid};
 use bp_crypto::keys::{KeyManager, KeysTableConfig};
@@ -26,7 +28,9 @@ use crate::mechanism::HybpConfig;
 pub struct CodecStats {
     /// Keys-table reads: one per index or tag transform of the L2 BTB or a
     /// TAGE tagged table, which is 30 per TAGE predict (15 tables × index
-    /// and tag). The renewal counter counts the same reads.
+    /// and tag). A TAGE walk counts its 30 in one step when no fault or
+    /// renewal can intervene, and one at a time otherwise. The renewal
+    /// counter counts the same reads.
     pub randomized_accesses: u64,
     /// Key renewals triggered by the access counter (not context switches).
     pub counter_renewals: u64,
@@ -119,13 +123,17 @@ impl HybpCodec {
         )
     }
 
+    /// The keys-table entry selector: PC bits *above* the set-index range,
+    /// so that the XOR of key and raw index stays balanced across sets
+    /// (keying by the set bits themselves would turn the bijective per-key
+    /// XOR into a random function and add conflict misses).
+    fn pc_slice(&self, pc: Addr) -> u64 {
+        pc.bits(12, self.keys_index_bits)
+    }
+
     fn index_key(&mut self, pc: Addr, now: Cycle) -> u64 {
         self.stats.randomized_accesses += 1;
-        // Key selection uses PC bits *above* the set-index range so that the
-        // XOR of key and raw index stays balanced across sets (keying by the
-        // set bits themselves would turn the bijective per-key XOR into a
-        // random function and add conflict misses).
-        let pc_slice = pc.bits(12, self.keys_index_bits);
+        let pc_slice = self.pc_slice(pc);
         let (key, renewed) = self
             .key_manager
             .index_key(self.slot, pc_slice, self.asid, self.vmid, now);
@@ -137,6 +145,12 @@ impl HybpCodec {
 
     fn content_key(&self) -> u64 {
         self.key_manager.content_key(self.slot)
+    }
+
+    /// The tag key: the per-PC index key `k` mixed with the content key, so
+    /// a tag never survives either key changing.
+    fn tag_key(&self, k: u64, table: TableId) -> u64 {
+        mix(k ^ self.content_key() ^ (table.level as u64) << 56)
     }
 }
 
@@ -164,10 +178,8 @@ impl TableCodec for HybpCodec {
 
     fn transform_tag(&mut self, table: TableId, raw_tag: u64, pc: Addr, now: Cycle) -> u64 {
         if Self::is_randomized(table) {
-            // The tag key mixes the per-PC index key with the content key so
-            // a tag never survives either key changing.
             let k = self.index_key(pc, now);
-            raw_tag ^ mix(k ^ self.content_key() ^ (table.level as u64) << 56)
+            raw_tag ^ self.tag_key(k, table)
         } else {
             raw_tag
         }
@@ -186,6 +198,36 @@ impl TableCodec for HybpCodec {
             stored ^ self.content_key()
         } else {
             stored
+        }
+    }
+
+    /// Every tagged table is randomized, and a walk reads the same
+    /// `(slot, PC-slice)` keys-table entry twice per table. When no fault
+    /// injector is attached and no renewal can fire inside the walk, one
+    /// read counted `2·tables` times gives every key. Otherwise the reads go
+    /// one at a time, as the per-access transforms make them: a fault acts
+    /// on each read, and a renewal changes the content key at once while
+    /// index keys read stale until their word is rewritten.
+    fn tagged_walk_keys(&mut self, pc: Addr, now: Cycle, keys: &mut [(u64, u64)]) {
+        let reads = 2 * keys.len() as u64;
+        let pc_slice = self.pc_slice(pc);
+        if let Some(k) = self
+            .key_manager
+            .index_key_n(self.slot, pc_slice, reads, now)
+        {
+            self.stats.randomized_accesses += reads;
+            for (i, key) in keys.iter_mut().enumerate() {
+                *key = (k, self.tag_key(k, TableId::new(TableUnit::TageTagged, i)));
+            }
+            return;
+        }
+        for (i, key) in keys.iter_mut().enumerate() {
+            let index_key = self.index_key(pc, now);
+            let k = self.index_key(pc, now);
+            *key = (
+                index_key,
+                self.tag_key(k, TableId::new(TableUnit::TageTagged, i)),
+            );
         }
     }
 }
