@@ -218,105 +218,133 @@ struct TaggedTable {
     tag_mask: u64,
 }
 
+/// Folded-history lanes: three per tagged table, `[index, tag, tag2]`.
+const LANES: usize = 3 * MAX_TABLES;
+
+/// The widest fold a `u32` lane holds: the rotate's carry bit, `1 << width`,
+/// must fit beside it.
+const MAX_FOLD_BITS: u32 = u32::BITS - 1;
+
+/// The fold geometry every slot's [`HistoryState`] shares, one lane per fold
+/// (three per table: index, tag, tag2), fixed at construction.
+///
+/// Each fold's width and history length are turned into bit constants here,
+/// so a push shifts nothing by a variable amount: the per-lane step is the
+/// same arithmetic as [`bp_common::history::FoldedHistory::update`], written
+/// so that the compiler vectorizes it.
+#[derive(Debug, Clone)]
+struct FoldLanes {
+    /// Lanes in use: three per table.
+    live: usize,
+    /// `(1 << width) - 1`, or 0 for a zero-length history (its folds stay 0).
+    mask: [u32; LANES],
+    /// `1 << (history_len % width)`, where the evicted bit leaves the fold;
+    /// 0 for a history as long as the register, which evicts nothing.
+    out_bit: [u32; LANES],
+    /// `1 << width`: the bit the rotate carries back into bit 0.
+    carry_bit: [u32; LANES],
+    /// Per table, the global-history bit its window evicts on a push (any
+    /// in-range bit where `out_bit` is 0).
+    evict_at: [usize; MAX_TABLES],
+}
+
+impl FoldLanes {
+    fn new(config: &[TaggedTableConfig], tables: &[TaggedTable]) -> Self {
+        let mut lanes = FoldLanes {
+            live: 3 * config.len(),
+            mask: [0; LANES],
+            out_bit: [0; LANES],
+            carry_bit: [0; LANES],
+            evict_at: [0; MAX_TABLES],
+        };
+        for (t, (c, table)) in config.iter().zip(tables).enumerate() {
+            let len = c.history_len;
+            assert!(len <= GlobalHistory::CAPACITY, "length exceeds capacity");
+            let widths = [
+                table.index_bits,
+                c.tag_bits,
+                c.tag_bits.saturating_sub(1).max(1),
+            ];
+            for (k, w) in widths.into_iter().enumerate() {
+                assert!(
+                    w > 0 && w <= MAX_FOLD_BITS,
+                    "fold width out of range: u32 lanes hold 1..=31 bits"
+                );
+                let j = 3 * t + k;
+                lanes.mask[j] = if len == 0 { 0 } else { (1 << w) - 1 };
+                lanes.out_bit[j] = if len < GlobalHistory::CAPACITY {
+                    1 << (len % w as usize)
+                } else {
+                    0
+                };
+                lanes.carry_bit[j] = 1 << w;
+            }
+            lanes.evict_at[t] = len.min(GlobalHistory::CAPACITY - 1);
+        }
+        lanes
+    }
+}
+
 /// Per-slot history state: the global/path registers and the folded
 /// histories for every tagged table (hardware: per-SMT-thread registers).
 ///
-/// The folded registers are stored as a flattened struct-of-arrays bank
-/// rather than per-table `FoldedHistory` structs: the three folds of one
-/// table (index, tag, tag2) share that table's history length, so each push
-/// reads the evicted history bit once per *table* instead of once per
-/// *fold*, and the values/widths/out-points stay in three contiguous
-/// arrays. The per-fold arithmetic is bit-identical to
-/// [`bp_common::history::FoldedHistory::update`].
+/// The folds are one fixed lane array laid out by [`FoldLanes`]. The three
+/// folds of a table share its history length, so a push reads each table's
+/// evicted bit once and then steps the live lanes in one loop. The global
+/// register is also the one the statistical corrector reads
+/// ([`Tage::global_history`]).
 #[derive(Debug, Clone)]
 struct HistoryState {
     global: GlobalHistory,
     path: PathHistory,
-    /// Folded values, 3 per table: `[index, tag, tag2]` interleaved.
-    fold_values: Vec<u64>,
-    /// Fold widths in bits, parallel to `fold_values`.
-    fold_widths: Vec<u32>,
-    /// Evicted-bit positions (`history_len % width`), parallel to
-    /// `fold_values`.
-    fold_out: Vec<u32>,
-    /// History length per table (shared by its three folds).
-    lengths: Vec<usize>,
+    /// Folded values, lane `3 * table + k` for `k` in `[index, tag, tag2]`.
+    /// Boxed for the heap's sake, not the walk's (see [`HistoryState::clear`]).
+    folds: Box<[u32; LANES]>,
 }
 
 impl HistoryState {
-    fn new(tables: &[TaggedTableConfig]) -> Self {
-        let mut fold_widths = Vec::with_capacity(tables.len() * 3);
-        let mut fold_out = Vec::with_capacity(tables.len() * 3);
-        let mut lengths = Vec::with_capacity(tables.len());
-        for t in tables {
-            let index_bits = usize::BITS - (t.entries - 1).leading_zeros();
-            let widths = [
-                (index_bits as usize).max(1),
-                t.tag_bits as usize,
-                (t.tag_bits as usize).saturating_sub(1).max(1),
-            ];
-            for w in widths {
-                assert!(w > 0 && w <= 32, "fold width out of range");
-                fold_widths.push(w as u32);
-                fold_out.push((t.history_len % w) as u32);
-            }
-            assert!(
-                t.history_len <= GlobalHistory::CAPACITY,
-                "length exceeds capacity"
-            );
-            lengths.push(t.history_len);
-        }
+    fn new() -> Self {
         HistoryState {
             global: GlobalHistory::new(),
             path: PathHistory::new(),
-            fold_values: vec![0; tables.len() * 3],
-            fold_widths,
-            fold_out,
-            lengths,
+            folds: Box::new([0; LANES]),
         }
     }
 
+    /// Empties every register. The lanes get a fresh block rather than
+    /// being zeroed in place: a `Simulation` build ends with its first
+    /// context switches, which clear slots, so these small blocks land above
+    /// the build's large ones and keep glibc from trimming the heap when the
+    /// `Simulation` drops. Inline or zeroed-in-place lanes doubled
+    /// perfbench's `sim_grid` `setup_s` (DESIGN.md, "History lanes").
     fn clear(&mut self) {
-        self.global.clear();
-        self.path.clear();
-        self.fold_values.fill(0);
+        *self = HistoryState::new();
     }
 
-    /// Folded (index, tag, tag2) values for `table`.
-    #[inline]
-    fn folds(&self, table: usize) -> (u64, u64, u64) {
-        let j = table * 3;
-        (
-            self.fold_values[j],
-            self.fold_values[j + 1],
-            self.fold_values[j + 2],
-        )
-    }
-
-    fn push(&mut self, pc: Addr, taken: bool) {
+    fn push(&mut self, lanes: &FoldLanes, pc: Addr, taken: bool) {
         self.global.push(taken);
         self.path.push(pc.bits(2, 1) == 1);
-        let inserted = self.global.bit(0) as u64;
-        for (t, &len) in self.lengths.iter().enumerate() {
-            if len == 0 {
-                continue;
-            }
-            let evicted = if len < GlobalHistory::CAPACITY {
-                self.global.bit(len) as u64
-            } else {
-                0
-            };
-            for k in 0..3 {
-                let j = t * 3 + k;
-                let width = self.fold_widths[j];
-                // Rotate left by one inside `width`, inject new bit, eject
-                // old bit (FoldedHistory::update, inlined over the bank).
-                let mut v = (self.fold_values[j] << 1) | inserted;
-                v ^= evicted << self.fold_out[j];
-                v ^= (v >> width) & 1;
-                v &= (1u64 << width) - 1;
-                self.fold_values[j] = v;
-            }
+        let n = lanes.live;
+        // Each table's evicted bit, read once and spread over its three
+        // lanes as an all-ones or all-zeros mask.
+        let mut evicted = [0u32; LANES];
+        for (e, &at) in evicted[..n].chunks_exact_mut(3).zip(&lanes.evict_at) {
+            e.fill(0u32.wrapping_sub(u32::from(self.global.bit(at))));
+        }
+        let inserted = u32::from(taken);
+        for ((((v, &mask), &out), &carry), &ev) in self.folds[..n]
+            .iter_mut()
+            .zip(&lanes.mask[..n])
+            .zip(&lanes.out_bit[..n])
+            .zip(&lanes.carry_bit[..n])
+            .zip(&evicted[..n])
+        {
+            // Rotate left by one inside the width, inject the new bit,
+            // eject the evicted one.
+            let mut x = (*v << 1) | inserted;
+            x ^= out & ev;
+            x ^= u32::from(x & carry != 0);
+            *v = x & mask;
         }
     }
 }
@@ -355,6 +383,7 @@ pub struct Tage {
     /// Every tagged table's entries, table 0 first, in one allocation.
     entries: Vec<TaggedEntry>,
     tables: Vec<TaggedTable>,
+    fold_lanes: FoldLanes,
     histories: Vec<HistoryState>,
     /// The last walk's entry position in `entries`, per table.
     walk_idx: [u32; MAX_TABLES],
@@ -389,9 +418,12 @@ impl Tage {
     /// # Panics
     ///
     /// Panics if a slot count is zero, there are no tagged tables, or more
-    /// than 24; and if an entry does not fit the 16-bit packing (a tag
+    /// than 24; if an entry does not fit the 16-bit packing (a tag
     /// wider than 12 bits, a counter other than 3 bits or a useful counter
-    /// other than 1 bit) or the tables hold more than `u32::MAX` entries.
+    /// other than 1 bit) or the tables hold more than `u32::MAX` entries;
+    /// and if a folded history does not fit its `u32` lane (a zero-bit tag,
+    /// or a table of more than 2³¹ entries: folds are 1 to 31 bits wide)
+    /// or a history is longer than [`GlobalHistory::CAPACITY`].
     pub fn with_layout(config: TageConfig, base_slots: usize, history_slots: usize) -> Self {
         let slots = base_slots;
         assert!(slots > 0 && history_slots > 0, "need at least one slot");
@@ -431,10 +463,9 @@ impl Tage {
                 .map(|_| Bimodal::new(config.base_entries.next_power_of_two(), 1))
                 .collect(),
             entries: vec![TaggedEntry::EMPTY; offset],
+            fold_lanes: FoldLanes::new(&config.tagged, &tables),
             tables,
-            histories: (0..history_slots)
-                .map(|_| HistoryState::new(&config.tagged))
-                .collect(),
+            histories: (0..history_slots).map(|_| HistoryState::new()).collect(),
             walk_idx: [0; MAX_TABLES],
             walk_tag: [0; MAX_TABLES],
             use_alt_on_new_alloc: 0,
@@ -489,8 +520,9 @@ impl Tage {
         let mut match_count = 0usize;
         let mut last_match = usize::MAX;
         let mut second_last = usize::MAX;
-        for (i, (t, &(index_key, tag_key))) in self.tables.iter().zip(&keys).enumerate() {
-            let (fi, f1, f2) = h.folds(i);
+        let walk = self.tables.iter().zip(&keys).zip(h.folds.chunks_exact(3));
+        for (i, ((t, &(index_key, tag_key)), f)) in walk.enumerate() {
+            let (fi, f1, f2) = (u64::from(f[0]), u64::from(f[1]), u64::from(f[2]));
             let raw_idx = p ^ (p >> t.index_bits) ^ fi ^ (path & t.path_mask);
             let raw_tag = (p ^ f1 ^ (f2 << 1)) & t.tag_mask;
             let pos = t.offset + fast_mod(raw_idx ^ index_key, t.entries) as usize;
@@ -672,7 +704,15 @@ impl Tage {
         }
 
         let hs = fast_mod_usize(slot, self.histories.len());
-        self.histories[hs].push(pc, taken);
+        self.histories[hs].push(&self.fold_lanes, pc, taken);
+    }
+
+    /// The retired global history of `slot`'s history bank: every
+    /// [`Tage::update_slot`] for the slot pushes its outcome, and
+    /// [`Tage::flush_slot`]/[`Tage::flush_all`] clear it. The statistical
+    /// corrector reads it rather than keeping a copy.
+    pub(crate) fn global_history(&self, slot: usize) -> &GlobalHistory {
+        &self.histories[fast_mod_usize(slot, self.histories.len())].global
     }
 
     /// Clears everything: tagged tables, all bases, all histories.

@@ -9,13 +9,14 @@
 //! structures (base predictor, corrector, loop table, history registers) are
 //! replicated per slot — under HyBP these are the physically isolated
 //! components — while the large tagged tables stay shared. Only the tagged
-//! tables reach the codec.
+//! tables reach the codec. There is one global history register per history
+//! slot, TAGE's: the corrector consults and trains on it, read before TAGE's
+//! update pushes the branch's outcome.
 
 use crate::codec::TableCodec;
 use crate::loop_pred::LoopPredictor;
 use crate::sc::StatisticalCorrector;
 use crate::tage::{Tage, TageConfig};
-use bp_common::history::GlobalHistory;
 use bp_common::{fast_mod_usize, Addr, Cycle};
 
 /// The combined TAGE-SC-L predictor.
@@ -41,8 +42,6 @@ pub struct TageScL {
     tage: Tage,
     sc: Vec<StatisticalCorrector>,
     loop_pred: Vec<LoopPredictor>,
-    /// Mirror of the retired global history, per slot, consulted by the SC.
-    histories: Vec<GlobalHistory>,
     last_sc: Option<(u64, usize, crate::sc::ScVerdict)>,
 }
 
@@ -77,7 +76,6 @@ impl TageScL {
             loop_pred: (0..iso_slots)
                 .map(|_| LoopPredictor::default_scl())
                 .collect(),
-            histories: (0..history_slots).map(|_| GlobalHistory::new()).collect(),
             last_sc: None,
         }
     }
@@ -111,10 +109,9 @@ impl TageScL {
         now: Cycle,
     ) -> bool {
         let si = fast_mod_usize(slot, self.sc.len());
-        let hi = fast_mod_usize(slot, self.histories.len());
         let lv = self.loop_pred[si].consult(pc);
         let tage_pred = self.tage.predict_slot(pc, slot, codec, now);
-        let sc = self.sc[si].consult(pc, tage_pred.taken, &self.histories[hi]);
+        let sc = self.sc[si].consult(pc, tage_pred.taken, self.tage.global_history(slot));
         self.last_sc = Some((pc.raw(), slot, sc));
         if lv.confident {
             return lv.taken;
@@ -139,15 +136,14 @@ impl TageScL {
         now: Cycle,
     ) {
         let si = fast_mod_usize(slot, self.sc.len());
-        let hi = fast_mod_usize(slot, self.histories.len());
         self.loop_pred[si].train(pc, taken);
         if let Some((saved_pc, saved_slot, verdict)) = self.last_sc.take() {
             if saved_pc == pc.raw() && saved_slot == slot {
-                self.sc[si].train(pc, taken, verdict, &self.histories[hi]);
+                self.sc[si].train(pc, taken, verdict, self.tage.global_history(slot));
             }
         }
+        // Pushes the outcome into the history the corrector just read.
         self.tage.update_slot(pc, slot, taken, codec, now);
-        self.histories[hi].push(taken);
     }
 
     /// Flushes one slot's physically isolated components: base predictor,
@@ -155,11 +151,9 @@ impl TageScL {
     /// are untouched (they are protected by key changes under HyBP).
     pub fn flush_slot_isolated(&mut self, slot: usize) {
         let si = fast_mod_usize(slot, self.sc.len());
-        let hi = fast_mod_usize(slot, self.histories.len());
         self.tage.flush_slot(slot);
         self.sc[si].flush();
         self.loop_pred[si].flush();
-        self.histories[hi].clear();
         self.last_sc = None;
     }
 
@@ -172,9 +166,6 @@ impl TageScL {
         }
         for l in &mut self.loop_pred {
             l.flush();
-        }
-        for h in &mut self.histories {
-            h.clear();
         }
         self.last_sc = None;
     }
@@ -208,6 +199,7 @@ impl TageScL {
 mod tests {
     use super::*;
     use crate::codec::IdentityCodec;
+    use bp_common::history::GlobalHistory;
     use bp_common::rng::Xoshiro256StarStar;
 
     fn accuracy<F: FnMut(u64) -> bool>(p: &mut TageScL, pc: u64, n: u64, mut f: F) -> f64 {
@@ -297,6 +289,47 @@ mod tests {
         // Slot 1 still predicts taken (its base/hist survive; shared tagged
         // tables also survive).
         assert!(p.predict_slot(Addr::new(0x900), 1, &mut c, 1000));
+    }
+
+    #[test]
+    fn corrector_reads_the_history_tage_keeps_per_slot() {
+        // The history the corrector consults, kept independently: every
+        // update pushes its slot's outcome, and every flush that covers a
+        // slot clears it.
+        let mut p = TageScL::with_slots(TageConfig::paper_scl(), 4);
+        let mut mirror = vec![GlobalHistory::new(); 4];
+        let mut c = IdentityCodec::new();
+        let mut rng = Xoshiro256StarStar::seeded(23);
+        let (mut slot_flushes, mut full_flushes) = (0, 0);
+        for step in 0..20_000u64 {
+            let slot = rng.next_below(4) as usize;
+            let pc = Addr::new(0x1000 + (rng.next_below(64) << 2));
+            match rng.next_below(500) {
+                0 => {
+                    p.flush_all();
+                    mirror.iter_mut().for_each(GlobalHistory::clear);
+                    full_flushes += 1;
+                }
+                1..=4 => {
+                    p.flush_slot_isolated(slot);
+                    mirror[slot].clear();
+                    slot_flushes += 1;
+                }
+                _ => {
+                    let taken = rng.chance(0.6);
+                    // Some updates arrive without a prediction.
+                    if step % 7 != 0 {
+                        let _ = p.predict_slot(pc, slot, &mut c, step);
+                    }
+                    p.update_slot(pc, slot, taken, &mut c, step);
+                    mirror[slot].push(taken);
+                }
+            }
+            for (s, h) in mirror.iter().enumerate() {
+                assert_eq!(p.tage.global_history(s), h, "slot {s} after step {step}");
+            }
+        }
+        assert!(slot_flushes > 0 && full_flushes > 0, "the stream flushes");
     }
 
     #[test]

@@ -4,18 +4,20 @@
 //! tagged entry and one `Vec` per table, one `FoldedHistory` per fold, the
 //! raw index and tag recomputed per table, and one `transform_index` plus
 //! one `transform_tag` codec call per table. `Tage` packs every entry into
-//! 16 bits in one block and asks the codec for a whole walk's keys at once
-//! (`TableCodec::tagged_walk_keys`), which HyBP's codec answers with one
-//! keys-table read counted 30 times when no fault or renewal can intervene.
+//! 16 bits in one block, steps its folds as one lane array, and asks the
+//! codec for a whole walk's keys at once (`TableCodec::tagged_walk_keys`),
+//! which HyBP's codec answers with one keys-table read counted 30 times
+//! when no fault or renewal can intervene.
 //!
 //! Both models run the same branch stream, each with its own identically
 //! built codec, and must agree on every prediction, on every table's final
 //! occupancy, on the codec's counters and on every keys table's counters.
-//! The streams are seeded random ones and the generator streams of the six
-//! `sim_grid` benchmarks; the schedule re-keys a slot every
-//! `SWITCH_EVERY` branches (so reads land on stale words mid-refresh) and
-//! updates without a preceding predict every `UNPREDICTED_EVERY` branches
-//! (the lost-lookup recovery path).
+//! The streams are the generator streams of the six `sim_grid` benchmarks,
+//! and seeded random ones over every table geometry the experiments build
+//! plus one at the edges of what `Tage` accepts. The schedule re-keys a
+//! slot every `SWITCH_EVERY` branches (so reads land on stale words
+//! mid-refresh) and updates without a preceding predict every
+//! `UNPREDICTED_EVERY` branches (the lost-lookup recovery path).
 
 #![allow(
     clippy::expect_used,
@@ -29,7 +31,7 @@ use hybp_repro::bp_crypto::keys::PAPER_RENEWAL_THRESHOLD;
 use hybp_repro::bp_faults::{FaultInjector, FaultPlan};
 use hybp_repro::bp_predictors::bimodal::Bimodal;
 use hybp_repro::bp_predictors::codec::{IdentityCodec, TableCodec, TableId, TableUnit};
-use hybp_repro::bp_predictors::tage::{Tage, TageConfig, TagePrediction};
+use hybp_repro::bp_predictors::tage::{Tage, TageConfig, TagePrediction, TaggedTableConfig};
 use hybp_repro::bp_workloads::{SpecBenchmark, WorkloadGenerator};
 use hybp_repro::hybp::{HybpCodec, HybpConfig};
 
@@ -568,14 +570,54 @@ fn check_all_codecs(label: &str, config: &TageConfig, stream: &[Branch]) {
     }
 }
 
+/// A geometry no experiment builds, at the edges of what `Tage` accepts:
+/// all 24 tables, 12-bit tags (11-bit second tag folds), a zero-length
+/// history (its folds stay 0) and one as long as the global register (its
+/// folds never evict), over power-of-two and modulo-path table sizes. The
+/// two edge lengths come first: allocation prefers the tables right after
+/// the provider, so a last table would hardly ever be allocated, and folds
+/// that never reach a prediction are not checked.
+fn edge_geometry() -> TageConfig {
+    let lengths = [
+        0, 1024, 2, 3, 5, 8, 12, 17, 24, 33, 46, 63, 86, 117, 159, 216, 292, 395, 480, 560, 640,
+        730, 830, 930,
+    ];
+    TageConfig {
+        base_entries: 2048,
+        tagged: lengths
+            .iter()
+            .enumerate()
+            .map(|(i, &history_len)| TaggedTableConfig {
+                entries: [256, 384, 1000][i % 3],
+                tag_bits: 12,
+                history_len,
+            })
+            .collect(),
+        ctr_bits: 3,
+        u_bits: 1,
+        u_reset_period: 256 * 1024,
+    }
+}
+
 fn run(len: usize) {
     let paper = TageConfig::paper_scl();
     for (k, &bench) in SIM_GRID_BENCHES.iter().enumerate() {
         let stream = generator_stream(bench, 42 + k as u64, len);
         check_all_codecs(&format!("{bench:?}"), &paper, &stream);
     }
-    // Non-power-of-two tables take the modulo path of the index reduction.
-    for (seed, config) in [(1, paper.clone()), (2, paper.scaled(3, 2))] {
+    // Every index-fold width the experiments build: paper scale (11 bits),
+    // Partition's quarter tables (512 entries, 9 bits) and a fig8
+    // Replication size (716 entries at +40 %, 10 bits). 716 and the 3/2
+    // scale (3,072 entries) take the modulo path of the index reduction.
+    // Then the edges of the geometry.
+    let geometries = [
+        paper.clone(),
+        paper.scaled(3, 2),
+        paper.scaled(1, 4),
+        paper.scaled(140, 400),
+        edge_geometry(),
+    ];
+    for (seed, config) in (1..).zip(geometries) {
         check_all_codecs(&format!("random{seed}"), &config, &random_stream(seed, len));
     }
 }
