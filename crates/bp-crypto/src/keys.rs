@@ -183,6 +183,8 @@ impl IndexSeed {
 #[derive(Clone, PartialEq, Eq)]
 struct RefreshState {
     started_at: Cycle,
+    /// Every entry's key as reads saw it when the refresh started; an entry
+    /// the rewrite has not reached yet reads from here.
     old_keys: Vec<u64>,
 }
 
@@ -194,6 +196,8 @@ struct RefreshState {
 #[derive(Clone, PartialEq, Eq)]
 pub struct KeysTable {
     config: KeysTableConfig,
+    /// `config.keys_per_word()`, computed once.
+    keys_per_word: usize,
     keys: Vec<u64>,
     refresh: Option<RefreshState>,
     accesses_since_refresh: u64,
@@ -212,6 +216,7 @@ impl KeysTable {
     pub fn new(config: KeysTableConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         Ok(KeysTable {
+            keys_per_word: config.keys_per_word(),
             keys: vec![0; config.entries],
             config,
             refresh: None,
@@ -233,18 +238,15 @@ impl KeysTable {
         self.config.pipeline_fill + self.config.words() as Cycle
     }
 
-    /// The key of `entry` as architecturally visible at cycle `now`: the old
-    /// generation's key while the rewrite has not reached the entry's word.
-    /// Pure read — no counters, no refresh-state transitions.
-    fn visible_key(&self, entry: usize, now: Cycle) -> u64 {
-        if let Some(refresh) = &self.refresh {
-            let word_idx = (entry / self.config.keys_per_word()) as Cycle;
-            let rewritten_at = refresh.started_at + self.config.pipeline_fill + word_idx + 1;
-            if now < rewritten_at {
-                return refresh.old_keys.get(entry).copied().unwrap_or(0);
-            }
-        }
-        self.keys.get(entry).copied().unwrap_or(0)
+    /// How many entries, counted from entry 0, the rewrite started at
+    /// `started_at` has reached by cycle `now`: word `w` (entries
+    /// `w * keys_per_word..`) lands at `started_at + pipeline_fill + w + 1`.
+    #[inline]
+    fn fresh_entries(&self, started_at: Cycle, now: Cycle) -> usize {
+        let words = now.saturating_sub(started_at + self.config.pipeline_fill);
+        words
+            .saturating_mul(self.keys_per_word as u64)
+            .min(self.config.entries as u64) as usize
     }
 
     /// Starts a non-stalling refresh at cycle `now`, filling the table with
@@ -256,6 +258,10 @@ impl KeysTable {
     /// snapshot preserved as "old" keys is then the architecturally visible
     /// mix of the two earlier generations at `now`, not either generation
     /// wholesale.
+    ///
+    /// The snapshot is taken word-wise: the current code book is handed
+    /// over whole when no rewrite is in flight at `now`, and otherwise only
+    /// the entries the in-flight rewrite has reached are copied into it.
     pub fn begin_refresh(
         &mut self,
         cipher: &dyn TweakableBlockCipher,
@@ -263,35 +269,57 @@ impl KeysTable {
         timer_base: u64,
         now: Cycle,
     ) {
-        let old_keys: Vec<u64> = (0..self.config.entries)
-            .map(|e| self.visible_key(e, now))
-            .collect();
-        let per_word = self.config.keys_per_word();
-        let key_mask = if self.config.key_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.config.key_bits) - 1
-        };
-        // The whole code book shares one tweak (the seed), so a single batch
-        // call lets the cipher build its tweak schedule once for all words.
-        let mut words: Vec<u64> = (0..self.config.words())
-            .map(|word_idx| timer_base.wrapping_add(word_idx as u64))
-            .collect();
-        cipher.encrypt_batch(&mut words, seed.raw());
-        let mut keys = Vec::with_capacity(self.config.entries);
-        for word in words {
-            for slot in 0..per_word {
-                if keys.len() == self.config.entries {
-                    break;
-                }
-                keys.push((word >> (slot as u32 * self.config.key_bits)) & key_mask);
+        let entries = self.config.entries;
+        let fresh = self
+            .refresh
+            .as_ref()
+            .map_or(entries, |r| self.fresh_entries(r.started_at, now));
+        match &mut self.refresh {
+            // Mid-rewrite: reads see the new keys below `fresh` and the
+            // old ones from there on.
+            Some(r) if fresh < entries => {
+                r.old_keys[..fresh].copy_from_slice(&self.keys[..fresh]);
+                r.started_at = now;
+            }
+            // Rewrite complete: the current keys become the old generation,
+            // and the unreachable old buffer takes the new one.
+            Some(r) => {
+                std::mem::swap(&mut r.old_keys, &mut self.keys);
+                r.started_at = now;
+            }
+            None => {
+                let old_keys = std::mem::replace(&mut self.keys, vec![0; entries]);
+                self.refresh = Some(RefreshState {
+                    started_at: now,
+                    old_keys,
+                });
             }
         }
-        self.keys = keys;
-        self.refresh = Some(RefreshState {
-            started_at: now,
-            old_keys,
-        });
+        let per_word = self.keys_per_word;
+        let key_bits = self.config.key_bits;
+        let key_mask = if key_bits == 64 {
+            u64::MAX
+        } else {
+            (1u64 << key_bits) - 1
+        };
+        // The words are encrypted in place at the front of the buffer. The
+        // whole code book shares one tweak (the seed), so a single batch
+        // call lets the cipher build its tweak schedule once for all words.
+        let words = &mut self.keys[..self.config.words()];
+        for (word_idx, word) in words.iter_mut().enumerate() {
+            *word = timer_base.wrapping_add(word_idx as u64);
+        }
+        cipher.encrypt_batch(words, seed.raw());
+        // Each word then splits into its keys, from the last word down:
+        // word `w` fills entries `w * per_word..`, none of them a word
+        // still to split.
+        for word_idx in (0..words.len()).rev() {
+            let word = self.keys[word_idx];
+            let keys = self.keys[word_idx * per_word..].iter_mut().take(per_word);
+            for (slot, key) in keys.enumerate() {
+                *key = (word >> (slot as u32 * key_bits)) & key_mask;
+            }
+        }
         self.accesses_since_refresh = 0;
         self.generation += 1;
     }
@@ -325,14 +353,13 @@ impl KeysTable {
         };
         self.accesses_since_refresh += n;
         if let Some(refresh) = &self.refresh {
-            let word_idx = (entry / self.config.keys_per_word()) as Cycle;
-            let rewritten_at = refresh.started_at + self.config.pipeline_fill + word_idx + 1;
-            if now < rewritten_at {
+            let fresh = self.fresh_entries(refresh.started_at, now);
+            if entry >= fresh {
                 self.stale_hits += n;
                 return refresh.old_keys.get(entry).copied().unwrap_or(0);
             }
             // Drop the old generation once the whole table is rewritten.
-            if now >= refresh.started_at + self.refresh_duration() {
+            if fresh == self.config.entries {
                 self.refresh = None;
             }
         }
@@ -996,6 +1023,197 @@ mod tests {
         assert_eq!(faulted.slot(0).table().accesses_since_refresh(), 0);
         faulted.set_fault_injector(None);
         assert!(faulted.index_key_n(0, 0x55, 1, 5_000).is_some());
+    }
+
+    /// The per-entry refresh model: a refresh snapshots every entry's
+    /// visible key, a read finds its entry's word by division, and the
+    /// code book is encrypted block by block into a word buffer of its own.
+    struct SnapshotModel {
+        config: KeysTableConfig,
+        keys: Vec<u64>,
+        /// `(started_at, old_keys)` of the refresh in flight.
+        refresh: Option<(Cycle, Vec<u64>)>,
+        generation: u64,
+        stale_hits: u64,
+    }
+
+    impl SnapshotModel {
+        fn new(config: KeysTableConfig) -> Self {
+            SnapshotModel {
+                config,
+                keys: vec![0; config.entries],
+                refresh: None,
+                generation: 0,
+                stale_hits: 0,
+            }
+        }
+
+        fn duration(&self) -> Cycle {
+            self.config.pipeline_fill + self.config.words() as Cycle
+        }
+
+        /// Whether `entry`'s word is still unwritten at `now`.
+        fn stale(&self, entry: usize, now: Cycle) -> bool {
+            self.refresh.as_ref().is_some_and(|(started_at, _)| {
+                let word_idx = (entry / self.config.keys_per_word()) as Cycle;
+                now < started_at + self.config.pipeline_fill + word_idx + 1
+            })
+        }
+
+        fn visible_key(&self, entry: usize, now: Cycle) -> u64 {
+            match &self.refresh {
+                Some((_, old)) if self.stale(entry, now) => old[entry],
+                _ => self.keys[entry],
+            }
+        }
+
+        fn begin_refresh(
+            &mut self,
+            cipher: &dyn TweakableBlockCipher,
+            seed: IndexSeed,
+            timer_base: u64,
+            now: Cycle,
+        ) {
+            let old: Vec<u64> = (0..self.config.entries)
+                .map(|e| self.visible_key(e, now))
+                .collect();
+            let (per_word, bits) = (self.config.keys_per_word(), self.config.key_bits);
+            let mask = if bits == 64 {
+                u64::MAX
+            } else {
+                (1 << bits) - 1
+            };
+            let words: Vec<u64> = (0..self.config.words() as u64)
+                .map(|w| cipher.encrypt(timer_base.wrapping_add(w), seed.raw()))
+                .collect();
+            self.keys = (0..self.config.entries)
+                .map(|e| (words[e / per_word] >> ((e % per_word) as u32 * bits)) & mask)
+                .collect();
+            self.refresh = Some((now, old));
+            self.generation += 1;
+        }
+
+        fn key_at(&mut self, entry: usize, now: Cycle) -> u64 {
+            if self.stale(entry, now) {
+                self.stale_hits += 1;
+            } else if self
+                .refresh
+                .as_ref()
+                .is_some_and(|(started_at, _)| now >= started_at + self.duration())
+            {
+                self.refresh = None;
+            }
+            self.visible_key(entry, now)
+        }
+
+        fn refresh_in_flight(&self, now: Cycle) -> bool {
+            self.refresh
+                .as_ref()
+                .is_some_and(|(started_at, _)| now < started_at + self.duration())
+        }
+    }
+
+    /// The word-wise refresh against [`SnapshotModel`] over 240 seeded
+    /// refreshes on four geometries (the paper's; a partial last word; one
+    /// key per word; no pipeline fill). Refreshes land mid-rewrite, right
+    /// after a rewrite completes with and without a read in between, and
+    /// late, and some start delayed with reads before their start. Every
+    /// read's key, the stale-hit count, the generation and
+    /// `refresh_in_flight` must match throughout.
+    #[test]
+    fn word_wise_refresh_matches_the_per_entry_snapshot_model() {
+        let c = cipher();
+        let geometries = [
+            KeysTableConfig::paper_default(),
+            KeysTableConfig::checked(1023, 7, 40, 7).expect("5 keys per word"),
+            KeysTableConfig::checked(64, 64, 64, 3).expect("1 key per word"),
+            KeysTableConfig::checked(37, 13, 64, 0).expect("no pipeline fill"),
+        ];
+        let mut sm = bp_common::rng::SplitMix64::new(0x5EED);
+        // How often each path of `begin_refresh` ran: mid-rewrite, complete
+        // but not retired, retired; and reads before a delayed start.
+        let (mut overlapping, mut unretired, mut retired, mut early_reads) = (0, 0, 0, 0);
+        fn check(t: &KeysTable, model: &SnapshotModel, now: Cycle, what: &str) {
+            assert_eq!(t.stale_hits(), model.stale_hits, "{what} at {now}");
+            assert_eq!(t.generation(), model.generation, "{what} at {now}");
+            assert_eq!(
+                t.refresh_in_flight(now),
+                model.refresh_in_flight(now),
+                "{what} at {now}"
+            );
+        }
+        /// Reads of random entries at cycles from `from` up to `to`.
+        fn reads(
+            sm: &mut bp_common::rng::SplitMix64,
+            (t, model): (&mut KeysTable, &mut SnapshotModel),
+            from: Cycle,
+            to: Cycle,
+        ) {
+            let mut at = from;
+            for _ in 0..24 {
+                at += sm.next_below((to - at) / 4 + 1);
+                let entry = sm.next_below(model.config.entries as u64) as usize;
+                let key = model.key_at(entry, at);
+                assert_eq!(t.key_at(entry, at), key, "entry {entry} at {at}");
+                check(t, model, at, "read");
+            }
+        }
+        for cfg in geometries {
+            let (mut t, mut model) = (table(cfg), SnapshotModel::new(cfg));
+            let duration = t.refresh_duration();
+            let mut now: Cycle = 1;
+            for _ in 0..60 {
+                let kind = sm.next_below(4);
+                let delay = if kind == 3 {
+                    1 + sm.next_below(2 * duration)
+                } else {
+                    0
+                };
+                let start = now + delay;
+                match &model.refresh {
+                    Some((s, _)) if model.refresh_in_flight(start) => {
+                        overlapping += u32::from(start > s + cfg.pipeline_fill);
+                    }
+                    Some(_) => unretired += 1,
+                    None => retired += 1,
+                }
+                let seed = IndexSeed::derive(Asid::new(1), Vmid::new(0), sm.next_u64());
+                let timer = sm.next_u64();
+                t.begin_refresh(&c, seed, timer, start);
+                model.begin_refresh(&c, seed, timer, start);
+                check(&t, &model, now, "refresh");
+                match kind {
+                    // Reads partway in; the next refresh lands mid-rewrite.
+                    0 => {
+                        let mid =
+                            start + cfg.pipeline_fill + sm.next_below(duration - cfg.pipeline_fill);
+                        reads(&mut sm, (&mut t, &mut model), now, mid);
+                        now = mid;
+                    }
+                    // Complete, and no read retires it.
+                    1 => now = start + duration + sm.next_below(3),
+                    // Complete, and a read in between retires it.
+                    2 => {
+                        let end = start + duration + sm.next_below(duration);
+                        reads(&mut sm, (&mut t, &mut model), now, end);
+                        reads(&mut sm, (&mut t, &mut model), end, end);
+                        now = end;
+                    }
+                    // Delayed: reads before the start, then anywhere after.
+                    _ => {
+                        let stale_before = t.stale_hits();
+                        reads(&mut sm, (&mut t, &mut model), now, start - 1);
+                        early_reads += t.stale_hits() - stale_before;
+                        now = start + sm.next_below(duration + 2);
+                    }
+                }
+            }
+        }
+        assert!(
+            overlapping >= 20 && unretired >= 20 && retired >= 20 && early_reads >= 100,
+            "paths: {overlapping} mid-rewrite, {unretired} unretired, {retired} retired, \
+             {early_reads} reads before a delayed start"
+        );
     }
 
     #[test]

@@ -60,9 +60,11 @@ pub trait TweakableBlockCipher: Send + Sync {
 
     /// Encrypts every block in place under one shared tweak. Equivalent to
     /// calling [`encrypt`](TweakableBlockCipher::encrypt) per block — the
-    /// default does exactly that — but ciphers with per-tweak key-schedule
-    /// work (QARMA) override it to amortize the schedule across the batch.
-    /// The key-table refresh encrypts its whole code book this way.
+    /// default does exactly that — but a cipher may override it to build
+    /// its per-tweak schedule once for the batch and to run independent
+    /// blocks side by side: QARMA steps 8 blocks through each round
+    /// together, so their table loads overlap. The key-table refresh
+    /// encrypts its whole code book this way.
     fn encrypt_batch(&self, blocks: &mut [u64], tweak: u64) {
         for b in blocks.iter_mut() {
             *b = self.encrypt(*b, tweak);
