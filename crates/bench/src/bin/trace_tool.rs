@@ -1,6 +1,6 @@
-//! Capture, corrupt, inspect, and sample `.bpt` branch-trace files.
+//! Capture, corrupt and inspect `.bpt` branch-trace files.
 //!
-//! Four subcommands:
+//! Three subcommands:
 //!
 //! * `record` — generate the stream files an experiment run at a given
 //!   scale will replay (`--trace-dir`). Streams are named and seeded
@@ -12,16 +12,11 @@
 //! * `check` — decode a trace file in strict (default) or `--lenient`
 //!   mode and report either the typed error (exit 1) or the recovered
 //!   record count and health ledger.
-//! * `sample` — run phase sampling over a trace file and write the
-//!   versioned, CRC-sealed `.bps` phase-plan sidecar next to it (or to
-//!   `--out`). Deterministic: the same file and spec produce a
-//!   byte-identical sidecar.
 //!
 //! ```text
 //! trace_tool record  --out DIR [--scale S] [--benches a,b] [--margin F] [--smt] [--chunk N]
 //! trace_tool corrupt --file F --spec SPEC [--out F2]
 //! trace_tool check   --file F [--lenient]
-//! trace_tool sample  --file F [--spec k=K,window=W,...] [--out F2]
 //! ```
 
 use std::io::BufWriter;
@@ -32,20 +27,17 @@ use bench::cli::parse_benches;
 use bench::{replay_stream_budget, Scale};
 use bp_faults::bytes::ByteFaultPlan;
 use bp_pipeline::{kernel_stream_name, kernel_stream_seed, stream_name, stream_seed, SimConfig};
-use bp_trace::sampling::SIDECAR_EXTENSION;
 use bp_trace::{
-    sample_bytes, ReadMode, SamplingSpec, TraceSession, TraceStore, TraceWriter,
-    DEFAULT_CHUNK_RECORDS, FILE_EXTENSION,
+    ReadMode, TraceSession, TraceStore, TraceWriter, DEFAULT_CHUNK_RECORDS, FILE_EXTENSION,
 };
 use bp_workloads::profile::SpecBenchmark;
 use bp_workloads::WorkloadGenerator;
 
-const USAGE: &str = "usage: trace_tool <record|corrupt|check|sample> [options]
+const USAGE: &str = "usage: trace_tool <record|corrupt|check> [options]
   record  --out DIR [--scale quick|default|full] [--benches a,b,...]
           [--margin F] [--smt] [--chunk N]
   corrupt --file F --spec SPEC [--out F2]
-  check   --file F [--lenient]
-  sample  --file F [--spec k=K,window=W,dims=D,warmup=U,seed=S,iters=I] [--out F2]";
+  check   --file F [--lenient]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,7 +45,6 @@ fn main() -> ExitCode {
         Some("record") => record(&args[1..]),
         Some("corrupt") => corrupt(&args[1..]),
         Some("check") => check(&args[1..]),
-        Some("sample") => sample(&args[1..]),
         _ => Err(USAGE.to_string()),
     };
     match result {
@@ -204,43 +195,4 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::FAILURE)
         }
     }
-}
-
-/// Samples a trace into a `.bps` phase-plan sidecar. The output path
-/// defaults to the trace path with its extension swapped.
-fn sample(args: &[String]) -> Result<ExitCode, String> {
-    let file = flag_value(args, "--file")?.ok_or("sample requires --file F")?;
-    let spec = match flag_value(args, "--spec")? {
-        Some(v) => SamplingSpec::parse(&v)?,
-        None => SamplingSpec::default(),
-    };
-    let mode = if has_flag(args, "--lenient") {
-        ReadMode::Lenient
-    } else {
-        ReadMode::Strict
-    };
-    let out = match flag_value(args, "--out")? {
-        Some(v) => PathBuf::from(v),
-        None => PathBuf::from(&file).with_extension(SIDECAR_EXTENSION),
-    };
-    let bytes = std::fs::read(&file).map_err(|e| format!("{file}: {e}"))?;
-    let (plan, stats) = sample_bytes(&bytes, mode, &spec).map_err(|e| format!("{file}: {e}"))?;
-    let encoded = plan.encode();
-    std::fs::write(&out, &encoded).map_err(|e| format!("{}: {e}", out.display()))?;
-    println!(
-        "sampled {file}: {} phase(s) over {} windows ({} instructions), \
-         coverage {:.2}%, dispersion {:.4}",
-        plan.selections.len(),
-        plan.total_windows,
-        plan.total_instructions,
-        plan.coverage() * 100.0,
-        plan.dispersion()
-    );
-    println!(
-        "wrote {} ({} bytes; peak {} records buffered while extracting)",
-        out.display(),
-        encoded.len(),
-        stats.peak_buffered
-    );
-    Ok(ExitCode::SUCCESS)
 }

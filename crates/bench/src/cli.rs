@@ -30,11 +30,6 @@
 //!   degraded (`# partial` CSV header, non-zero exit).
 //! * `--benches a,b,...` — restrict benchmark-driven experiments that
 //!   honor subsets (currently fig5) to the named benchmarks.
-//! * `--sample k=K,window=W,...` — phase-sampled replay (only valid with
-//!   `--trace-dir`): cluster each stream's windows into K phases and
-//!   replay one weighted representative per phase instead of the whole
-//!   trace. Sampled CSVs carry a `# sampled:` header naming the window
-//!   counts and coverage.
 //!
 //! Every simulated run is one [`crate::Point`], memoised whole for the
 //! life of the process by [`Ctx::point`] ([`ModelCache`]), so experiments
@@ -51,7 +46,7 @@ use std::time::Duration;
 
 use bp_common::pool::{Pool, RetryPolicy, TaskError};
 use bp_faults::points::{PointDisposition, PointFaultPlan};
-use bp_trace::{ReadMode, SamplingSpec, TraceSession, TraceStore};
+use bp_trace::{ReadMode, TraceSession, TraceStore};
 use bp_workloads::profile::SpecBenchmark;
 
 use crate::cache::ModelCache;
@@ -62,8 +57,7 @@ use crate::{experiments, Csv, ExpResult, Scale};
 /// Option summary printed with every usage error.
 pub const USAGE: &str = "options: [--only NAME,...] [--scale quick|default|full] [--threads N] \
      [--resume] [--deadline-secs N] [--telemetry DIR] [--trace-dir DIR] \
-     [--trace-mode strict|lenient] [--benches a,b,...] \
-     [--sample k=K,window=W,dims=D,warmup=U,seed=S,iters=I]";
+     [--trace-mode strict|lenient] [--benches a,b,...]";
 
 /// Parsed command-line options, before any pool is constructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,8 +81,6 @@ pub struct CliOptions {
     pub trace_mode: ReadMode,
     /// Benchmark subset (`--benches`), if any.
     pub benches: Option<Vec<SpecBenchmark>>,
-    /// Phase-sampling spec (`--sample`), if any.
-    pub sample: Option<SamplingSpec>,
 }
 
 /// Parses a comma-separated list, each name strictly against `choices`
@@ -185,7 +177,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
     let mut trace_dir: Option<PathBuf> = None;
     let mut trace_mode: Option<ReadMode> = None;
     let mut benches: Option<Vec<SpecBenchmark>> = None;
-    let mut sample: Option<SamplingSpec> = None;
     let mut args = args.iter();
     while let Some(flag) = args.next() {
         let mut value = || {
@@ -206,7 +197,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
             "--trace-dir" => trace_dir = Some(PathBuf::from(value()?)),
             "--trace-mode" => trace_mode = Some(ReadMode::parse(value()?)?),
             "--benches" => benches = Some(parse_benches(value()?)?),
-            "--sample" => sample = Some(SamplingSpec::parse(value()?)?),
             other => return Err(format!("unknown option '{other}'; {USAGE}")),
         }
     }
@@ -219,11 +209,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
             "--trace-mode only applies to trace replay; add --trace-dir DIR. {USAGE}"
         ));
     }
-    if sample.is_some() && trace_dir.is_none() {
-        return Err(format!(
-            "--sample only applies to trace replay; add --trace-dir DIR. {USAGE}"
-        ));
-    }
     Ok(CliOptions {
         only,
         scale,
@@ -234,7 +219,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
         trace_dir,
         trace_mode: trace_mode.unwrap_or_default(),
         benches,
-        sample,
     })
 }
 
@@ -276,10 +260,6 @@ pub struct Ctx {
     /// Benchmark subset restriction (`--benches`), honored by experiments
     /// that sweep benchmarks (currently fig5).
     pub bench_subset: Option<Vec<SpecBenchmark>>,
-    /// Phase-sampling spec (`--sample`): experiments that replay traces
-    /// estimate from weighted representative windows instead of full
-    /// streams, and mark their CSVs with a `# sampled:` header.
-    pub sampling: Option<SamplingSpec>,
 }
 
 impl Ctx {
@@ -298,14 +278,7 @@ impl Ctx {
             telemetry_dir: None,
             trace: None,
             bench_subset: None,
-            sampling: None,
         }
-    }
-
-    /// Arms phase-sampled replay under `spec` (requires a trace store).
-    pub fn with_sampling(mut self, spec: SamplingSpec) -> Ctx {
-        self.sampling = Some(spec);
-        self
     }
 
     /// Attaches a trace store: every simulation point replays captured
@@ -365,17 +338,12 @@ impl Ctx {
             // Harness-level I/O faults (`HYBP_FAULT_POINTS` byte-fault
             // entries) are injected at trace ingest — the adversarial
             // decode path exercised end to end.
-            let mut builder = TraceSession::open(dir)
+            let session = TraceSession::open(dir)
                 .mode(opts.trace_mode)
-                .ingest_faults(ctx.fault_points.io_plan());
-            if let Some(spec) = opts.sample {
-                builder = builder.sampling(spec);
-            }
-            let session = builder.build().map_err(|e| e.to_string())?;
+                .ingest_faults(ctx.fault_points.io_plan())
+                .build()
+                .map_err(|e| e.to_string())?;
             ctx = ctx.with_trace_store(Arc::clone(session.store()));
-            if let Some(spec) = session.sampling() {
-                ctx = ctx.with_sampling(*spec);
-            }
         }
         if let Some(benches) = opts.benches {
             ctx = ctx.with_bench_subset(benches);

@@ -367,53 +367,6 @@ pub fn mean_smt_throughput(ctx: &Ctx, label: &str, mechanism: Mechanism) -> Opti
     bp_common::stats::mean(&thrs)
 }
 
-/// Computes (deterministically) the phase plan for `bench`'s canonical
-/// replay stream in `ctx`'s trace store under `spec`.
-///
-/// # Errors
-///
-/// Returns a message when no trace store is attached, the stream is
-/// missing or undecodable, or the trace is shorter than one window.
-pub fn phase_plan_for(
-    ctx: &Ctx,
-    bench: SpecBenchmark,
-    spec: &bp_trace::SamplingSpec,
-) -> Result<bp_trace::PhasePlan, String> {
-    let store = ctx
-        .trace
-        .as_ref()
-        .ok_or("phase sampling requires --trace-dir")?;
-    let name = stream_name(0, 0, bench);
-    let seed = stream_seed(SimConfig::default_run().seed, 0, 0);
-    let loaded = store
-        .load(&name, seed)
-        .map_err(|e| format!("{name}: {e}"))?;
-    let (plan, _) = loaded.sample(spec).map_err(|e| format!("{name}: {e}"))?;
-    Ok(plan)
-}
-
-/// One sampled-replay point: the bounded-error MPKI/IPC estimate for
-/// (`mechanism`, `bench`) over the plan's representative windows.
-///
-/// # Errors
-///
-/// Returns a message when the replay cannot be built (no store, missing
-/// stream) or the plan is stale for the store's current bytes.
-pub fn sampled_estimate(
-    ctx: &Ctx,
-    mechanism: Mechanism,
-    bench: SpecBenchmark,
-    plan: &bp_trace::PhasePlan,
-) -> Result<bp_pipeline::SampledEstimate, String> {
-    Simulation::builder(mechanism, SimConfig::default_run())
-        .single_thread(bench)
-        .trace_store(ctx.trace.clone())
-        .sampled_replay(plan.clone())
-        .map_err(|e| format!("{}: {e}", bench.name()))?
-        .run()
-        .map_err(|e| format!("{}: {e}", bench.name()))
-}
-
 /// Synthesizes a phase-alternating branch stream: `phases` cycle every
 /// `phase_instructions`, each phase drawing from its benchmark's profile,
 /// until `total_instructions` are covered. This is the worst reasonable
@@ -449,7 +402,6 @@ pub struct Csv {
     path: String,
     buf: String,
     partial: Option<(usize, usize)>,
-    sampled: Option<(u64, u64, f64)>,
 }
 
 impl Csv {
@@ -463,7 +415,6 @@ impl Csv {
             path: dir.as_ref().join(name).display().to_string(),
             buf,
             partial: None,
-            sampled: None,
         }
     }
 
@@ -491,14 +442,6 @@ impl Csv {
         self.partial = Some((completed, total));
     }
 
-    /// Marks the file as produced by phase-sampled replay: [`Csv::finish`]
-    /// will prepend a `# sampled: k/N windows (coverage …)` comment line so
-    /// a bounded-error estimate can never be mistaken for a full replay.
-    /// Composes with [`Csv::mark_partial`], whose line stays first.
-    pub fn mark_sampled(&mut self, selected: u64, total_windows: u64, coverage: f64) {
-        self.sampled = Some((selected, total_windows, coverage));
-    }
-
     /// Writes the file (creating the directory if needed) and returns the
     /// path.
     pub fn finish(self) -> std::io::Result<String> {
@@ -506,12 +449,6 @@ impl Csv {
             std::fs::create_dir_all(parent)?;
         }
         let mut body = self.buf;
-        if let Some((selected, total, coverage)) = self.sampled {
-            body = format!(
-                "# sampled: {selected}/{total} windows (coverage {:.2}%)\n{body}",
-                coverage * 100.0
-            );
-        }
         if let Some((completed, total)) = self.partial {
             body = format!("# partial: {completed}/{total} points\n{body}");
         }

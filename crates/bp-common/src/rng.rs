@@ -91,16 +91,6 @@ pub struct Xoshiro256StarStar {
 }
 
 impl Xoshiro256StarStar {
-    /// Creates a generator with full 256-bit state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is all zeros (the generator would be stuck).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "state must not be all zeros");
-        Xoshiro256StarStar { s }
-    }
-
     /// Creates a generator by expanding a 64-bit seed with SplitMix64
     /// (the construction recommended by the xoshiro authors).
     pub fn seeded(seed: u64) -> Self {
@@ -148,25 +138,6 @@ impl Xoshiro256StarStar {
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Samples an index from a discrete distribution given by `weights`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weights must not be empty");
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weights must sum to a positive value");
-        let mut x = self.next_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
     }
 
     /// Fisher-Yates shuffles a slice in place.
@@ -262,17 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_index_prefers_heavy_weights() {
-        let mut r = Xoshiro256StarStar::seeded(3);
-        let mut hits = [0u32; 3];
-        for _ in 0..30_000 {
-            hits[r.weighted_index(&[1.0, 8.0, 1.0])] += 1;
-        }
-        assert!(hits[1] > hits[0] * 4);
-        assert!(hits[1] > hits[2] * 4);
-    }
-
-    #[test]
     fn shuffle_is_a_permutation() {
         let mut r = Xoshiro256StarStar::seeded(11);
         let mut v: Vec<u32> = (0..100).collect();
@@ -289,12 +249,6 @@ mod tests {
         let sum: u64 = (0..n).map(|_| r.gap(6.0, 64) as u64).sum();
         let mean = sum as f64 / n as f64;
         assert!((mean - 6.0).abs() < 0.5, "mean gap {mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "all zeros")]
-    fn zero_state_rejected() {
-        let _ = Xoshiro256StarStar::from_state([0; 4]);
     }
 
     #[test]

@@ -79,7 +79,8 @@ impl KeysTableConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when `entries` is zero, `key_bits` is zero or
-    /// wider than 64, or a word cannot hold at least one key.
+    /// wider than 64, `word_bits` is wider than 64 (a word is one 64-bit
+    /// cipher block), or a word cannot hold at least one key.
     pub fn checked(
         entries: usize,
         key_bits: u32,
@@ -132,6 +133,13 @@ impl KeysTableConfig {
             return Err(ConfigError::too_large(
                 "keys table key_bits",
                 u64::from(self.key_bits),
+                64,
+            ));
+        }
+        if self.word_bits > 64 {
+            return Err(ConfigError::too_large(
+                "keys table word_bits",
+                u64::from(self.word_bits),
                 64,
             ));
         }
@@ -751,7 +759,14 @@ mod tests {
                 "a word must hold at least one key (word_bits >= key_bits)",
             ))
         );
+        // A word is one 64-bit cipher block, split with `u64` shifts: a
+        // 128-bit word of 40-bit keys would shift by 80 for its third key.
+        assert_eq!(
+            KeysTableConfig::checked(16, 40, 128, 7).err(),
+            Some(ConfigError::too_large("keys table word_bits", 128, 64))
+        );
         assert!(KeysTableConfig::checked(1024, 10, 40, 7).is_ok());
+        assert!(KeysTableConfig::checked(1024, 10, 64, 7).is_ok());
     }
 
     #[test]

@@ -90,13 +90,6 @@ pub struct OsDisturbance {
     pub force_timer: bool,
 }
 
-impl OsDisturbance {
-    /// Whether anything is being disturbed.
-    pub fn is_quiet(&self) -> bool {
-        !self.force_context_switch && !self.force_timer
-    }
-}
-
 /// Counters of injected faults, by class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
@@ -552,7 +545,7 @@ mod tests {
             assert_eq!(inj.on_btb_target(0xF00, i), None);
             assert!(!inj.flip_direction(i));
             assert_eq!(inj.on_branch_record(0, i), TraceDisposition::Keep);
-            assert!(inj.on_os_tick(0, i).is_quiet());
+            assert_eq!(inj.on_os_tick(0, i), OsDisturbance::default());
         }
         assert_eq!(inj.stats().total(), 0);
     }

@@ -322,11 +322,6 @@ impl PointFaultPlan {
         }
         PointDisposition::Proceed
     }
-
-    /// The faults targeting one sweep, in plan order.
-    pub fn for_sweep<'a>(&'a self, sweep: &'a str) -> impl Iterator<Item = &'a PointFault> + 'a {
-        self.entries.iter().filter(move |e| e.sweep == sweep)
-    }
 }
 
 fn parse_index(entry: &str, index: &str) -> Result<usize, String> {
@@ -466,12 +461,5 @@ mod tests {
         ] {
             assert!(PointFaultPlan::parse(bad).is_err(), "{bad:?} accepted");
         }
-    }
-
-    #[test]
-    fn for_sweep_filters() {
-        let plan = PointFaultPlan::parse("panic@s@1,error@t@2,panic@s@9").unwrap();
-        let s: Vec<usize> = plan.for_sweep("s").map(|e| e.index).collect();
-        assert_eq!(s, vec![1, 9]);
     }
 }

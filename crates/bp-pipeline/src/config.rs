@@ -117,14 +117,6 @@ impl SimConfig {
         }
     }
 
-    /// Same parameters with a different context-switch interval.
-    pub fn with_interval(interval: Cycle) -> Self {
-        SimConfig {
-            ctx_switch_interval: interval,
-            ..Self::default_run()
-        }
-    }
-
     /// Short runs for unit/integration tests.
     pub fn quick_test() -> Self {
         SimConfig {
@@ -180,10 +172,6 @@ mod tests {
     #[test]
     fn default_interval_is_16m() {
         assert_eq!(SimConfig::default_run().ctx_switch_interval, 16_000_000);
-        assert_eq!(
-            SimConfig::with_interval(256_000).ctx_switch_interval,
-            256_000
-        );
     }
 
     #[test]

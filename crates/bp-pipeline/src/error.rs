@@ -19,8 +19,8 @@ pub enum SimError {
     },
     /// A sampled replay's phase plan does not match the trace it was asked
     /// to replay: a selected window's seek target is not a chunk boundary
-    /// any more, or the window ran out of records mid-measurement. The
-    /// sidecar is stale — re-run `trace_tool sample` over the current trace.
+    /// any more, or the window ran out of records mid-measurement. The plan
+    /// is stale — sample the current trace again.
     StalePlan {
         /// The window index whose replay failed.
         window: u64,
@@ -39,7 +39,7 @@ impl fmt::Display for SimError {
             SimError::StalePlan { window } => write!(
                 f,
                 "phase plan is stale for this trace (window {window} failed to \
-                 seek or measure); re-run `trace_tool sample`"
+                 seek or measure); sample the trace again"
             ),
         }
     }

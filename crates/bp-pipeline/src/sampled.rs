@@ -9,8 +9,7 @@
 //! instructions, and weights each window's MPKI/IPC by the number of
 //! windows its cluster stands for. [`FullReplay`] drives the whole trace
 //! under the identical cycle model, so the two estimates are directly
-//! comparable — that comparison is what the `bench_sampling` harness and
-//! the CI `sampling-integrity` job pin.
+//! comparable.
 //!
 //! Both drivers share one cost model, `drive_one`'s: each record costs
 //! its gap plus one cycle, plus the charged BTB latency, plus
@@ -88,8 +87,6 @@ pub struct SampledEstimate {
     /// Bound on `|sampled MPKI - full-replay MPKI|` under the shared cycle
     /// model; see `DESIGN.md` §6h.
     pub error_bound_mpki: f64,
-    /// Fraction of trace instructions touched (from the plan).
-    pub coverage: f64,
 }
 
 /// Drives one branch through the BPU and returns `(cycles, mispredicted)`
@@ -220,7 +217,6 @@ impl SampledReplay {
             windows,
             replayed_instructions: replayed,
             error_bound_mpki,
-            coverage: self.plan.coverage(),
         })
     }
 }
@@ -351,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn sampled_estimate_tracks_full_replay_within_bound() {
+    fn sampled_replay_tracks_full_replay_within_bound() {
         let (store, dir) = phased_store("bound", 64, 20_000);
         let cfg = SimConfig::default_run();
         let loaded = store
@@ -367,6 +363,7 @@ mod tests {
             ..SamplingSpec::default()
         };
         let (plan, _) = loaded.sample(&spec).expect("samples");
+        let coverage = plan.coverage();
 
         let full = builder(&store).full_replay().expect("builds").run();
         let sampled = builder(&store)
@@ -396,7 +393,7 @@ mod tests {
             sampled.replayed_instructions,
             full.instructions
         );
-        assert!(sampled.coverage > 0.0 && sampled.coverage < 0.5);
+        assert!(coverage > 0.0 && coverage < 0.5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -61,15 +61,6 @@ impl ReturnAddressStack {
         Some(self.entries[self.top])
     }
 
-    /// Peeks without popping.
-    pub fn peek(&self) -> Option<Addr> {
-        if self.depth == 0 {
-            None
-        } else {
-            Some(self.entries[(self.top + self.entries.len() - 1) % self.entries.len()])
-        }
-    }
-
     /// Current depth.
     pub fn depth(&self) -> usize {
         self.depth
@@ -113,14 +104,6 @@ mod tests {
         assert_eq!(r.pop(), Some(Addr::new(3)));
         assert_eq!(r.pop(), Some(Addr::new(2)));
         assert_eq!(r.pop(), None);
-    }
-
-    #[test]
-    fn peek_does_not_pop() {
-        let mut r = ReturnAddressStack::new(4);
-        r.push(Addr::new(9));
-        assert_eq!(r.peek(), Some(Addr::new(9)));
-        assert_eq!(r.depth(), 1);
     }
 
     #[test]

@@ -20,14 +20,15 @@
 //!   yields a degraded (never wrong, never crashing) replay.
 //! * [`TraceSession`] is the one front door to reading: a builder
 //!   (mirroring the simulator's `SimulationBuilder`) that opens a stream
-//!   directory with a decode mode, optional deterministic ingest faults,
-//!   and an optional [`SamplingSpec`]. Its [`TraceStore`] serves decoded
-//!   streams to the simulator by `(stream name, seed)`, caching decodes
-//!   and aggregating health across every file a run touched.
-//! * [`sampling`] turns long traces into [`PhasePlan`]s: a streaming BBV
-//!   pass plus deterministic k-means pick a few representative windows
-//!   whose weighted replay estimates whole-trace MPKI/IPC at a fraction
-//!   of the cost (see `DESIGN.md` §6h).
+//!   directory with a decode mode and optional deterministic ingest
+//!   faults. Its [`TraceStore`] serves decoded streams to the simulator by
+//!   `(stream name, seed)`, caching decodes and aggregating health across
+//!   every file a run touched.
+//! * [`sampling`] turns a loaded trace into a [`PhasePlan`]
+//!   ([`LoadedTrace::sample`]): a streaming BBV pass plus deterministic
+//!   k-means pick a few representative windows whose weighted replay
+//!   estimates whole-trace MPKI/IPC (see `DESIGN.md` §6h). No experiment
+//!   uses it.
 //!
 //! Chunks encode their records independently (deltas reset at each chunk
 //! boundary), which is what makes lenient resync sound — any intact chunk
@@ -70,9 +71,7 @@ pub mod varint;
 pub mod writer;
 
 pub use reader::{ReadMode, TraceReader};
-pub use sampling::{
-    sample_bytes, sample_trace, PhasePlan, SampleStats, SamplingError, SamplingSpec, Selection,
-};
+pub use sampling::{PhasePlan, SampleStats, SamplingError, SamplingSpec, Selection};
 pub use session::{TraceSession, TraceSessionBuilder};
 pub use store::{LoadedTrace, RecordCursor, TraceStore};
 pub use writer::{write_trace, TraceWriter, WriteSummary};

@@ -3,16 +3,14 @@
 //! The trace layer grew three entry points — `TraceStore::new` for
 //! directories, `with_ingest_faults` bolted on for the adversarial
 //! harness, and the free function `read_all` for in-memory bytes — which
-//! meant every new reading policy (phase sampling is the third) would
-//! have fanned out across all of them. [`TraceSession`] collapses the lot
-//! into one builder, deliberately shaped like the simulator's
-//! `SimulationBuilder`:
+//! meant every new reading policy would have fanned out across all of
+//! them. [`TraceSession`] collapses the lot into one builder, deliberately
+//! shaped like the simulator's `SimulationBuilder`:
 //!
 //! ```text
 //! TraceSession::open(dir)
 //!     .mode(ReadMode::Lenient)
 //!     .ingest_faults(plan)
-//!     .sampling(spec)
 //!     .build()?
 //! ```
 //!
@@ -28,7 +26,6 @@ use bp_common::BranchRecord;
 use bp_faults::bytes::ByteFaultPlan;
 
 use crate::reader::{decode, ReadMode};
-use crate::sampling::{sample_trace, PhasePlan, SampleStats, SamplingError, SamplingSpec};
 use crate::store::TraceStore;
 use crate::{TraceError, TraceHealth};
 
@@ -41,7 +38,6 @@ pub struct TraceSessionBuilder {
     dir: PathBuf,
     mode: ReadMode,
     ingest_faults: ByteFaultPlan,
-    sampling: Option<SamplingSpec>,
 }
 
 impl TraceSessionBuilder {
@@ -56,14 +52,6 @@ impl TraceSessionBuilder {
     /// harness and the CI integrity job.
     pub fn ingest_faults(mut self, plan: ByteFaultPlan) -> TraceSessionBuilder {
         self.ingest_faults = plan;
-        self
-    }
-
-    /// Arms phase sampling: [`TraceSession::sample_stream`] will use this
-    /// spec, and replay layers can read it back via
-    /// [`TraceSession::sampling`].
-    pub fn sampling(mut self, spec: SamplingSpec) -> TraceSessionBuilder {
-        self.sampling = Some(spec);
         self
     }
 
@@ -88,29 +76,26 @@ impl TraceSessionBuilder {
                 self.mode,
                 self.ingest_faults,
             )),
-            sampling: self.sampling,
         })
     }
 }
 
 /// An open trace directory plus its reading policy: the store that serves
-/// streams to the simulator, and (optionally) the sampling spec replay
-/// should apply. Cheap to share — the store is already behind an [`Arc`].
+/// streams to the simulator. Cheap to share — the store is already behind
+/// an [`Arc`].
 #[derive(Debug)]
 pub struct TraceSession {
     store: Arc<TraceStore>,
-    sampling: Option<SamplingSpec>,
 }
 
 impl TraceSession {
     /// Starts building a session over `dir`. Defaults: strict mode, no
-    /// ingest faults, no sampling.
+    /// ingest faults.
     pub fn open(dir: impl Into<PathBuf>) -> TraceSessionBuilder {
         TraceSessionBuilder {
             dir: dir.into(),
             mode: ReadMode::default(),
             ingest_faults: ByteFaultPlan::empty(),
-            sampling: None,
         }
     }
 
@@ -132,28 +117,6 @@ impl TraceSession {
     /// The shared store serving this session's streams.
     pub fn store(&self) -> &Arc<TraceStore> {
         &self.store
-    }
-
-    /// The sampling spec the session was opened with, if any.
-    pub fn sampling(&self) -> Option<&SamplingSpec> {
-        self.sampling.as_ref()
-    }
-
-    /// Loads a stream and samples it under the session's spec (or the
-    /// default spec when none was configured).
-    ///
-    /// # Errors
-    ///
-    /// Load failures as [`SamplingError::Trace`]/[`SamplingError::Io`];
-    /// sampling failures as themselves.
-    pub fn sample_stream(
-        &self,
-        stream: &str,
-        seed: u64,
-    ) -> Result<(PhasePlan, SampleStats), SamplingError> {
-        let spec = self.sampling.unwrap_or_default();
-        let trace = self.store.load(stream, seed)?;
-        sample_trace(&trace, &spec)
     }
 }
 
@@ -181,16 +144,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_are_strict_and_unsampled() {
+    fn builder_defaults_are_strict() {
         let dir = temp_dir("defaults");
         let session = TraceSession::open(&dir).build().unwrap();
         assert_eq!(session.store().mode(), ReadMode::Strict);
         assert_eq!(session.store().dir(), dir.as_path());
-        assert!(session.sampling().is_none());
     }
 
     #[test]
-    fn builder_carries_mode_faults_and_sampling() {
+    fn builder_carries_mode_and_faults() {
         let dir = temp_dir("knobs");
         let recs = sample_records(600);
         let clean = TraceSession::open(&dir).build().unwrap();
@@ -200,19 +162,12 @@ mod tests {
             offset: 200,
             bit: 3,
         }]);
-        let spec = SamplingSpec {
-            k: 2,
-            window: 50,
-            ..SamplingSpec::default()
-        };
         let session = TraceSession::open(&dir)
             .mode(ReadMode::Lenient)
             .ingest_faults(plan)
-            .sampling(spec)
             .build()
             .unwrap();
         assert_eq!(session.store().mode(), ReadMode::Lenient);
-        assert_eq!(session.sampling(), Some(&spec));
         let loaded = session.store().load("s", 1).unwrap();
         assert_eq!(loaded.health().chunks_skipped, 1, "faults must apply");
         let _ = std::fs::remove_dir_all(&dir);
@@ -241,25 +196,5 @@ mod tests {
         let (a, ha) = TraceSession::decode(&bytes, ReadMode::Strict).unwrap();
         assert_eq!(a, recs);
         assert!(ha.is_clean());
-    }
-
-    #[test]
-    fn sample_stream_uses_the_session_spec() {
-        let dir = temp_dir("samplestream");
-        let recs = sample_records(5_000);
-        let session = TraceSession::open(&dir)
-            .sampling(SamplingSpec {
-                k: 3,
-                window: 1_000,
-                ..SamplingSpec::default()
-            })
-            .build()
-            .unwrap();
-        session.store().save("s", 7, &recs, 256).unwrap();
-        let (plan, stats) = session.sample_stream("s", 7).unwrap();
-        assert_eq!(plan.spec.k, 3);
-        assert!(plan.total_windows > 0);
-        assert!(stats.peak_buffered <= 256);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

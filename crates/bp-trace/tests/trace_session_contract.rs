@@ -31,12 +31,11 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn builder_defaults_to_strict_no_faults_no_sampling() {
+fn builder_defaults_to_strict_no_faults() {
     let dir = temp_dir("defaults");
     let session = TraceSession::open(&dir).build().expect("session opens");
     assert_eq!(session.store().mode(), ReadMode::Strict);
     assert_eq!(session.store().dir(), dir.as_path());
-    assert!(session.sampling().is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

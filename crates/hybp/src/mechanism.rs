@@ -185,12 +185,6 @@ impl Mechanism {
         }
     }
 
-    /// Whether predictor structures are replicated/partitioned per
-    /// `(thread, privilege)` slot rather than shared.
-    pub fn is_per_slot(&self) -> bool {
-        matches!(self, Mechanism::Partition | Mechanism::Replication { .. })
-    }
-
     /// Checks the mechanism's parameters for internal consistency.
     ///
     /// # Errors
@@ -262,14 +256,6 @@ mod tests {
             .to_string(),
             "Replication(+240%)"
         );
-    }
-
-    #[test]
-    fn per_slot_classification() {
-        assert!(Mechanism::Partition.is_per_slot());
-        assert!(Mechanism::replication_default().is_per_slot());
-        assert!(!Mechanism::Baseline.is_per_slot());
-        assert!(!Mechanism::hybp_default().is_per_slot());
     }
 
     #[test]
