@@ -15,6 +15,15 @@
 //! not-yet-rewritten word simply returns the stale key, costing only
 //! prediction accuracy, never correctness ([`KeysTable::key_at`]).
 //!
+//! The model keeps the hardware's eager rewrite: a refresh writes one word
+//! per cycle after the cipher pipeline fills, and which generation a read
+//! sees depends only on that schedule. The simulator defers the arithmetic:
+//! [`KeysTable::begin_refresh`] records what the new generation is computed
+//! from, and a word is encrypted when a read first sees it (with the rest
+//! of its aligned group of 8 words, in one batch). Every key, counter and
+//! refresh time is the eager rewrite's; only words no read reaches are
+//! never computed.
+//!
 //! The same degradation policy covers faults: a corrupted key entry (see
 //! [`KeysTable::inject_bit_flip`] and the `bp-faults` crate) or an
 //! out-of-range read produces a *wrong key* — a misprediction at worst —
@@ -186,33 +195,189 @@ impl IndexSeed {
     }
 }
 
+/// Words one fill computes: a read that reaches an unfilled entry computes
+/// the entry's aligned group of this many words in one batch, so the cipher
+/// builds its tweak schedule once per group.
+const FILL_WORDS: usize = 8;
+
+/// What one code-book generation is computed from: word `w` is
+/// `cipher.encrypt(timer_base + w, tweak)`.
+struct Generation {
+    cipher: Box<dyn TweakableBlockCipher>,
+    tweak: u64,
+    timer_base: u64,
+}
+
+impl Clone for Generation {
+    fn clone(&self) -> Self {
+        Generation {
+            cipher: self.cipher.boxed_copy(),
+            tweak: self.tweak,
+            timer_base: self.timer_base,
+        }
+    }
+}
+
+/// One buffer of per-entry keys whose entries are computed on first read.
+///
+/// Within a group of [`FILL_WORDS`] words the filled words are a prefix of
+/// the group: a fill completes the group, and the only other writer is a
+/// mid-rewrite refresh, which copies a prefix of the table.
+// No `Debug`: holds a code book and the cipher that computes it.
+#[derive(Clone)]
+struct Book {
+    keys: Vec<u64>,
+    /// Bit `e % 64` of `filled[e / 64]` is set once entry `e` holds its key.
+    filled: Vec<u64>,
+    /// The generation unfilled entries belong to; `None` for the all-zero
+    /// book a table starts with, whose entries are all filled.
+    source: Option<Generation>,
+}
+
+impl Book {
+    /// An all-zero book, every entry filled.
+    fn zeroed(entries: usize) -> Self {
+        Book {
+            keys: vec![0; entries],
+            filled: vec![u64::MAX; entries.div_ceil(64)],
+            source: None,
+        }
+    }
+
+    /// Hands the buffer to `generation`, with no entry filled.
+    fn restart(&mut self, generation: Generation) {
+        self.filled.fill(0);
+        self.source = Some(generation);
+    }
+
+    #[inline]
+    fn is_filled(&self, entry: usize) -> bool {
+        self.filled
+            .get(entry / 64)
+            .is_some_and(|bits| bits >> (entry % 64) & 1 != 0)
+    }
+
+    fn mark_filled(&mut self, entries: std::ops::Range<usize>) {
+        for e in entries {
+            if let Some(bits) = self.filled.get_mut(e / 64) {
+                *bits |= 1 << (e % 64);
+            }
+        }
+    }
+
+    /// `entry`'s key slot, filled first if no read has reached it.
+    #[inline]
+    fn slot(&mut self, entry: usize, config: &KeysTableConfig) -> Option<&mut u64> {
+        if !self.is_filled(entry) {
+            self.fill_group(entry, config);
+        }
+        self.keys.get_mut(entry)
+    }
+
+    /// Computes the unfilled words of the aligned group holding `entry`
+    /// with one batch call, and splits each into its keys.
+    #[cold]
+    #[inline(never)]
+    fn fill_group(&mut self, entry: usize, config: &KeysTableConfig) {
+        let Some(generation) = &self.source else {
+            return;
+        };
+        let per_word = config.keys_per_word();
+        let word = entry / per_word;
+        let group = word - word % FILL_WORDS;
+        let end = (group + FILL_WORDS).min(config.words());
+        let Some(start) = (group..end).find(|&w| !self.is_filled(w * per_word)) else {
+            return;
+        };
+        let mut words = [0u64; FILL_WORDS];
+        let words = &mut words[..end - start];
+        for (i, w) in words.iter_mut().enumerate() {
+            *w = generation.timer_base.wrapping_add((start + i) as u64);
+        }
+        generation.cipher.encrypt_batch(words, generation.tweak);
+        let key_bits = config.key_bits;
+        let key_mask = u64::MAX >> (64 - key_bits);
+        let filled = start * per_word..(end * per_word).min(config.entries);
+        for (keys, &block) in self.keys[filled.clone()].chunks_mut(per_word).zip(&*words) {
+            for (slot, key) in keys.iter_mut().enumerate() {
+                *key = (block >> (slot as u32 * key_bits)) & key_mask;
+            }
+        }
+        self.mark_filled(filled);
+    }
+
+    /// Fills every group that holds one of the first `entries` entries.
+    fn fill_prefix(&mut self, entries: usize, config: &KeysTableConfig) {
+        for entry in (0..entries).step_by(FILL_WORDS * config.keys_per_word()) {
+            self.fill_group(entry, config);
+        }
+    }
+
+    /// Every entry's key, filled or not.
+    fn contents(&self, config: &KeysTableConfig) -> Vec<u64> {
+        let mut book = self.clone();
+        book.fill_prefix(config.entries, config);
+        book.keys
+    }
+}
+
 /// State of an in-flight, non-stalling code-book refresh.
-// No `Debug`: `old_keys` is the previous-generation code book.
-#[derive(Clone, PartialEq, Eq)]
+// No `Debug`: `old` is the previous-generation code book.
+#[derive(Clone)]
 struct RefreshState {
     started_at: Cycle,
     /// Every entry's key as reads saw it when the refresh started; an entry
     /// the rewrite has not reached yet reads from here.
-    old_keys: Vec<u64>,
+    old: Book,
 }
 
 /// The randomized index keys table.
 ///
 /// See the [module documentation](self) for the role this table plays.
-// No `Debug`/`Display`: `keys` is the live code book; printing it hands an
+///
+/// `==` compares what reads would return: two tables are equal when they
+/// have the same geometry, counters and refresh start, and every entry of
+/// both code books holds, or would be filled with, the same key.
+// No `Debug`/`Display`: `book` is the live code book; printing it hands an
 // attacker the randomization secret.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct KeysTable {
     config: KeysTableConfig,
     /// `config.keys_per_word()`, computed once.
     keys_per_word: usize,
-    keys: Vec<u64>,
+    book: Book,
     refresh: Option<RefreshState>,
     accesses_since_refresh: u64,
     generation: u64,
     stale_hits: u64,
     anomalous_reads: u64,
 }
+
+impl PartialEq for KeysTable {
+    fn eq(&self, other: &Self) -> bool {
+        let config = &self.config;
+        let counters = |t: &Self| {
+            (
+                t.accesses_since_refresh,
+                t.generation,
+                t.stale_hits,
+                t.anomalous_reads,
+            )
+        };
+        *config == other.config
+            && counters(self) == counters(other)
+            && self.book.contents(config) == other.book.contents(config)
+            && match (&self.refresh, &other.refresh) {
+                (None, None) => true,
+                (Some(a), Some(b)) => {
+                    a.started_at == b.started_at && a.old.contents(config) == b.old.contents(config)
+                }
+                _ => false,
+            }
+    }
+}
+
+impl Eq for KeysTable {}
 
 impl KeysTable {
     /// Creates an all-zero-key table with the given geometry.
@@ -225,7 +390,7 @@ impl KeysTable {
         config.validate()?;
         Ok(KeysTable {
             keys_per_word: config.keys_per_word(),
-            keys: vec![0; config.entries],
+            book: Book::zeroed(config.entries),
             config,
             refresh: None,
             accesses_since_refresh: 0,
@@ -258,7 +423,8 @@ impl KeysTable {
     }
 
     /// Starts a non-stalling refresh at cycle `now`, filling the table with
-    /// ciphertext of a timer-readout sequence under `seed` (§V-C1).
+    /// ciphertext of a timer-readout sequence under `seed` (§V-C1): word
+    /// `w` is `cipher.encrypt(timer_base + w, seed)`.
     ///
     /// The old key material remains visible for words the rewrite has not
     /// reached yet; see [`KeysTable::key_at`]. A refresh may overlap an
@@ -267,9 +433,17 @@ impl KeysTable {
     /// mix of the two earlier generations at `now`, not either generation
     /// wholesale.
     ///
+    /// The modelled hardware rewrites every word, one per cycle; the
+    /// simulator encrypts none here. It keeps a copy of `cipher` with the
+    /// seed and timer base, and a read that first reaches a word computes
+    /// it, with the rest of its aligned group of 8 words in one
+    /// [`encrypt_batch`](TweakableBlockCipher::encrypt_batch) call. Keys,
+    /// counters and timing are those of the eager rewrite.
+    ///
     /// The snapshot is taken word-wise: the current code book is handed
     /// over whole when no rewrite is in flight at `now`, and otherwise only
-    /// the entries the in-flight rewrite has reached are copied into it.
+    /// the entries the in-flight rewrite has reached are copied into it
+    /// (computed first, if no read has reached them).
     pub fn begin_refresh(
         &mut self,
         cipher: &dyn TweakableBlockCipher,
@@ -286,48 +460,30 @@ impl KeysTable {
             // Mid-rewrite: reads see the new keys below `fresh` and the
             // old ones from there on.
             Some(r) if fresh < entries => {
-                r.old_keys[..fresh].copy_from_slice(&self.keys[..fresh]);
+                self.book.fill_prefix(fresh, &self.config);
+                r.old.keys[..fresh].copy_from_slice(&self.book.keys[..fresh]);
+                r.old.mark_filled(0..fresh);
                 r.started_at = now;
             }
             // Rewrite complete: the current keys become the old generation,
             // and the unreachable old buffer takes the new one.
             Some(r) => {
-                std::mem::swap(&mut r.old_keys, &mut self.keys);
+                std::mem::swap(&mut r.old, &mut self.book);
                 r.started_at = now;
             }
             None => {
-                let old_keys = std::mem::replace(&mut self.keys, vec![0; entries]);
+                let old = std::mem::replace(&mut self.book, Book::zeroed(entries));
                 self.refresh = Some(RefreshState {
                     started_at: now,
-                    old_keys,
+                    old,
                 });
             }
         }
-        let per_word = self.keys_per_word;
-        let key_bits = self.config.key_bits;
-        let key_mask = if key_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << key_bits) - 1
-        };
-        // The words are encrypted in place at the front of the buffer. The
-        // whole code book shares one tweak (the seed), so a single batch
-        // call lets the cipher build its tweak schedule once for all words.
-        let words = &mut self.keys[..self.config.words()];
-        for (word_idx, word) in words.iter_mut().enumerate() {
-            *word = timer_base.wrapping_add(word_idx as u64);
-        }
-        cipher.encrypt_batch(words, seed.raw());
-        // Each word then splits into its keys, from the last word down:
-        // word `w` fills entries `w * per_word..`, none of them a word
-        // still to split.
-        for word_idx in (0..words.len()).rev() {
-            let word = self.keys[word_idx];
-            let keys = self.keys[word_idx * per_word..].iter_mut().take(per_word);
-            for (slot, key) in keys.enumerate() {
-                *key = (word >> (slot as u32 * key_bits)) & key_mask;
-            }
-        }
+        self.book.restart(Generation {
+            cipher: cipher.boxed_copy(),
+            tweak: seed.raw(),
+            timer_base,
+        });
         self.accesses_since_refresh = 0;
         self.generation += 1;
     }
@@ -360,28 +516,35 @@ impl KeysTable {
             entry % self.config.entries
         };
         self.accesses_since_refresh += n;
-        if let Some(refresh) = &self.refresh {
-            let fresh = self.fresh_entries(refresh.started_at, now);
-            if entry >= fresh {
+        let mut stale = false;
+        if let Some(started_at) = self.refresh.as_ref().map(|r| r.started_at) {
+            let fresh = self.fresh_entries(started_at, now);
+            stale = entry >= fresh;
+            if stale {
                 self.stale_hits += n;
-                return refresh.old_keys.get(entry).copied().unwrap_or(0);
-            }
-            // Drop the old generation once the whole table is rewritten.
-            if fresh == self.config.entries {
+            } else if fresh == self.config.entries {
+                // Drop the old generation once the whole table is rewritten.
                 self.refresh = None;
             }
         }
-        self.keys.get(entry).copied().unwrap_or(0)
+        let book = match &mut self.refresh {
+            Some(r) if stale => &mut r.old,
+            _ => &mut self.book,
+        };
+        book.slot(entry, &self.config).map_or(0, |k| *k)
     }
 
     /// Flips one bit of the *stored* (current-generation) key of `entry`,
     /// modelling persistent SRAM corruption. `entry` and `bit` are folded
     /// into range. The corruption behaves exactly like a stale key: wrong
     /// prediction, correct execution.
+    ///
+    /// An entry no read has reached is computed first, so the flip lands
+    /// on the key the eager rewrite stored.
     pub fn inject_bit_flip(&mut self, entry: usize, bit: u32) {
         let entry = entry % self.config.entries.max(1);
         let bit = bit % self.config.key_bits.max(1);
-        if let Some(k) = self.keys.get_mut(entry) {
+        if let Some(k) = self.book.slot(entry, &self.config) {
             *k ^= 1u64 << bit;
         }
     }
@@ -945,7 +1108,8 @@ mod tests {
 
     /// One `n`-read leaves the table exactly as `n` single reads do: before
     /// any refresh, on a stale word and on a rewritten word mid-refresh,
-    /// and on the read that retires the refresh.
+    /// and on the read that retires the refresh. Whole tables compare with
+    /// `==`, which must tell apart tables whose reads would differ.
     #[test]
     fn batched_reads_match_single_reads() {
         let cfg = KeysTableConfig::paper_default();
@@ -997,6 +1161,18 @@ mod tests {
         let mut retired = refreshed.clone();
         let _ = retired.key_at(1023, start + refreshed.refresh_duration());
         assert!(retired != refreshed && !retired.refresh_in_flight(last_word_at));
+        // `==` compares keys whether filled or not: ciphers under different
+        // keys make two tables unequal before any read, and filling a group
+        // (two flips of one bit) leaves a table equal to its unfilled clone.
+        let seed = IndexSeed::derive(Asid::new(1), Vmid::new(0), 3);
+        let (mut a, mut b) = (table(cfg), table(cfg));
+        a.begin_refresh(&c, seed, 5, 0);
+        b.begin_refresh(&Qarma64::from_seed(0x5A5A), seed, 5, 0);
+        assert!(a != b, "different cipher keys, nothing read");
+        let mut filled = a.clone();
+        filled.inject_bit_flip(9, 2);
+        filled.inject_bit_flip(9, 2);
+        assert!(filled == a && filled.book.is_filled(9) && !a.book.is_filled(9));
     }
 
     /// The batched manager read declines exactly when a renewal could fire
@@ -1042,7 +1218,8 @@ mod tests {
 
     /// The per-entry refresh model: a refresh snapshots every entry's
     /// visible key, a read finds its entry's word by division, and the
-    /// code book is encrypted block by block into a word buffer of its own.
+    /// code book is encrypted block by block, every word at the refresh,
+    /// into a word buffer of its own.
     struct SnapshotModel {
         config: KeysTableConfig,
         keys: Vec<u64>,
@@ -1121,6 +1298,10 @@ mod tests {
             self.visible_key(entry, now)
         }
 
+        fn inject_bit_flip(&mut self, entry: usize, bit: u32) {
+            self.keys[entry] ^= 1 << (bit % self.config.key_bits);
+        }
+
         fn refresh_in_flight(&self, now: Cycle) -> bool {
             self.refresh
                 .as_ref()
@@ -1128,15 +1309,36 @@ mod tests {
         }
     }
 
-    /// The word-wise refresh against [`SnapshotModel`] over 240 seeded
-    /// refreshes on four geometries (the paper's; a partial last word; one
-    /// key per word; no pipeline fill). Refreshes land mid-rewrite, right
-    /// after a rewrite completes with and without a read in between, and
-    /// late, and some start delayed with reads before their start. Every
-    /// read's key, the stale-hit count, the generation and
-    /// `refresh_in_flight` must match throughout.
-    #[test]
-    fn word_wise_refresh_matches_the_per_entry_snapshot_model() {
+    /// How often each path of a [`snapshot_model_run`] ran.
+    #[derive(Debug, Default)]
+    struct Paths {
+        /// Refreshes that landed mid-rewrite, past the pipeline fill.
+        overlapping: u64,
+        /// Refreshes after a complete rewrite that no read retired.
+        unretired: u64,
+        /// Refreshes after a retired rewrite.
+        retired: u64,
+        /// Stale reads before a delayed refresh started.
+        early_reads: u64,
+        /// Refreshes with no read since the refresh before them.
+        back_to_back: u64,
+        /// Stale reads of an entry the old generation had not filled.
+        unfilled_stale_reads: u64,
+        /// Mid-rewrite refreshes whose copied prefix held an unfilled entry.
+        unfilled_prefixes: u64,
+        /// Bit flips of an entry no read had filled.
+        unfilled_flips: u64,
+    }
+
+    /// The word-wise, filled-on-read refresh against [`SnapshotModel`]:
+    /// `refreshes` seeded refreshes on each of four geometries (the
+    /// paper's; a partial last word and group; one 64-bit key per word; no
+    /// pipeline fill). Refreshes land mid-rewrite, right after a rewrite
+    /// completes with and without a read in between, and late, and some
+    /// start delayed with reads before their start; half of them are
+    /// followed by a bit flip. Every read's key, the stale-hit count, the
+    /// generation and `refresh_in_flight` must match throughout.
+    fn snapshot_model_run(refreshes: u64, seed: u64) -> Paths {
         let c = cipher();
         let geometries = [
             KeysTableConfig::paper_default(),
@@ -1144,10 +1346,8 @@ mod tests {
             KeysTableConfig::checked(64, 64, 64, 3).expect("1 key per word"),
             KeysTableConfig::checked(37, 13, 64, 0).expect("no pipeline fill"),
         ];
-        let mut sm = bp_common::rng::SplitMix64::new(0x5EED);
-        // How often each path of `begin_refresh` ran: mid-rewrite, complete
-        // but not retired, retired; and reads before a delayed start.
-        let (mut overlapping, mut unretired, mut retired, mut early_reads) = (0, 0, 0, 0);
+        let mut sm = bp_common::rng::SplitMix64::new(seed);
+        let mut paths = Paths::default();
         fn check(t: &KeysTable, model: &SnapshotModel, now: Cycle, what: &str) {
             assert_eq!(t.stale_hits(), model.stale_hits, "{what} at {now}");
             assert_eq!(t.generation(), model.generation, "{what} at {now}");
@@ -1160,7 +1360,7 @@ mod tests {
         /// Reads of random entries at cycles from `from` up to `to`.
         fn reads(
             sm: &mut bp_common::rng::SplitMix64,
-            (t, model): (&mut KeysTable, &mut SnapshotModel),
+            (t, model, paths): (&mut KeysTable, &mut SnapshotModel, &mut Paths),
             from: Cycle,
             to: Cycle,
         ) {
@@ -1168,6 +1368,8 @@ mod tests {
             for _ in 0..24 {
                 at += sm.next_below((to - at) / 4 + 1);
                 let entry = sm.next_below(model.config.entries as u64) as usize;
+                let unfilled_old = t.refresh.as_ref().is_some_and(|r| !r.old.is_filled(entry));
+                paths.unfilled_stale_reads += u64::from(model.stale(entry, at) && unfilled_old);
                 let key = model.key_at(entry, at);
                 assert_eq!(t.key_at(entry, at), key, "entry {entry} at {at}");
                 check(t, model, at, "read");
@@ -1177,7 +1379,8 @@ mod tests {
             let (mut t, mut model) = (table(cfg), SnapshotModel::new(cfg));
             let duration = t.refresh_duration();
             let mut now: Cycle = 1;
-            for _ in 0..60 {
+            let mut read_since_refresh = true;
+            for _ in 0..refreshes {
                 let kind = sm.next_below(4);
                 let delay = if kind == 3 {
                     1 + sm.next_below(2 * duration)
@@ -1187,22 +1390,39 @@ mod tests {
                 let start = now + delay;
                 match &model.refresh {
                     Some((s, _)) if model.refresh_in_flight(start) => {
-                        overlapping += u32::from(start > s + cfg.pipeline_fill);
+                        paths.overlapping += u64::from(start > s + cfg.pipeline_fill);
+                        let fresh = t
+                            .refresh
+                            .as_ref()
+                            .map_or(0, |r| t.fresh_entries(r.started_at, start));
+                        paths.unfilled_prefixes +=
+                            u64::from((0..fresh).any(|e| !t.book.is_filled(e)));
                     }
-                    Some(_) => unretired += 1,
-                    None => retired += 1,
+                    Some(_) => paths.unretired += 1,
+                    None => paths.retired += 1,
                 }
+                paths.back_to_back += u64::from(!read_since_refresh);
                 let seed = IndexSeed::derive(Asid::new(1), Vmid::new(0), sm.next_u64());
                 let timer = sm.next_u64();
                 t.begin_refresh(&c, seed, timer, start);
                 model.begin_refresh(&c, seed, timer, start);
                 check(&t, &model, now, "refresh");
+                if sm.next_below(2) == 0 {
+                    let (entry, bit) = (
+                        sm.next_below(cfg.entries as u64) as usize,
+                        sm.next_u64() as u32,
+                    );
+                    paths.unfilled_flips += u64::from(!t.book.is_filled(entry));
+                    t.inject_bit_flip(entry, bit);
+                    model.inject_bit_flip(entry, bit);
+                }
+                read_since_refresh = kind != 1;
                 match kind {
                     // Reads partway in; the next refresh lands mid-rewrite.
                     0 => {
                         let mid =
                             start + cfg.pipeline_fill + sm.next_below(duration - cfg.pipeline_fill);
-                        reads(&mut sm, (&mut t, &mut model), now, mid);
+                        reads(&mut sm, (&mut t, &mut model, &mut paths), now, mid);
                         now = mid;
                     }
                     // Complete, and no read retires it.
@@ -1210,25 +1430,152 @@ mod tests {
                     // Complete, and a read in between retires it.
                     2 => {
                         let end = start + duration + sm.next_below(duration);
-                        reads(&mut sm, (&mut t, &mut model), now, end);
-                        reads(&mut sm, (&mut t, &mut model), end, end);
+                        reads(&mut sm, (&mut t, &mut model, &mut paths), now, end);
+                        reads(&mut sm, (&mut t, &mut model, &mut paths), end, end);
                         now = end;
                     }
                     // Delayed: reads before the start, then anywhere after.
                     _ => {
                         let stale_before = t.stale_hits();
-                        reads(&mut sm, (&mut t, &mut model), now, start - 1);
-                        early_reads += t.stale_hits() - stale_before;
+                        reads(&mut sm, (&mut t, &mut model, &mut paths), now, start - 1);
+                        paths.early_reads += t.stale_hits() - stale_before;
                         now = start + sm.next_below(duration + 2);
                     }
                 }
             }
         }
+        paths
+    }
+
+    /// Every path of a [`snapshot_model_run`] with `refreshes` refreshes
+    /// per geometry ran at least its count per 60 refreshes.
+    fn assert_paths(paths: &Paths, refreshes: u64) {
+        let at_least = |count: u64, per_60: u64| count * 60 >= per_60 * refreshes;
         assert!(
-            overlapping >= 20 && unretired >= 20 && retired >= 20 && early_reads >= 100,
-            "paths: {overlapping} mid-rewrite, {unretired} unretired, {retired} retired, \
-             {early_reads} reads before a delayed start"
+            at_least(paths.overlapping, 20)
+                && at_least(paths.unretired, 20)
+                && at_least(paths.retired, 20)
+                && at_least(paths.early_reads, 100)
+                && at_least(paths.back_to_back, 20)
+                && at_least(paths.unfilled_stale_reads, 100)
+                && at_least(paths.unfilled_prefixes, 20)
+                && at_least(paths.unfilled_flips, 40),
+            "{paths:?} over {refreshes} refreshes per geometry"
         );
+    }
+
+    #[test]
+    fn word_wise_refresh_matches_the_per_entry_snapshot_model() {
+        let paths = snapshot_model_run(60, 0x5EED);
+        assert_paths(&paths, 60);
+    }
+
+    /// Ten times the refreshes of the test above, on another seed.
+    #[test]
+    #[ignore = "long: run with --release --include-ignored"]
+    fn word_wise_refresh_matches_the_per_entry_snapshot_model_long() {
+        let paths = snapshot_model_run(600, 0x5EED_0010);
+        assert_paths(&paths, 600);
+    }
+
+    /// QARMA that counts the blocks it encrypts, across every copy of it.
+    #[derive(Clone)]
+    struct Counting {
+        inner: Qarma64,
+        blocks: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl Counting {
+        fn blocks(&self) -> u64 {
+            self.blocks.load(std::sync::atomic::Ordering::Relaxed)
+        }
+
+        fn count(&self, blocks: usize) {
+            self.blocks
+                .fetch_add(blocks as u64, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl TweakableBlockCipher for Counting {
+        fn encrypt(&self, plaintext: u64, tweak: u64) -> u64 {
+            self.count(1);
+            self.inner.encrypt(plaintext, tweak)
+        }
+
+        fn decrypt(&self, ciphertext: u64, tweak: u64) -> u64 {
+            self.inner.decrypt(ciphertext, tweak)
+        }
+
+        fn encrypt_batch(&self, blocks: &mut [u64], tweak: u64) {
+            self.count(blocks.len());
+            self.inner.encrypt_batch(blocks, tweak);
+        }
+
+        fn boxed_copy(&self) -> Box<dyn TweakableBlockCipher> {
+            Box::new(self.clone())
+        }
+
+        fn latency_cycles(&self) -> u32 {
+            self.inner.latency_cycles()
+        }
+
+        fn name(&self) -> &'static str {
+            "counting-qarma-64"
+        }
+    }
+
+    /// A refresh encrypts nothing; the first read of an entry encrypts its
+    /// group of 8 words (fewer at the end of the table), a second read in
+    /// the group nothing, and reading every entry encrypts each word of
+    /// the generation once.
+    #[test]
+    fn refresh_encrypts_only_the_groups_reads_reach() {
+        let geometries = [
+            KeysTableConfig::paper_default(),
+            KeysTableConfig::checked(1023, 7, 40, 7).expect("205 words, last group of 5"),
+        ];
+        for cfg in geometries {
+            let c = Counting {
+                inner: cipher(),
+                blocks: Default::default(),
+            };
+            let mut t = table(cfg);
+            let (per_word, words) = (cfg.keys_per_word(), cfg.words());
+            let mut now: Cycle = 0;
+            for generation in 0..3u64 {
+                let seed = IndexSeed::derive(Asid::new(1), Vmid::new(0), generation);
+                let before = c.blocks();
+                t.begin_refresh(&c, seed, generation << 20, now);
+                assert_eq!(c.blocks(), before, "{cfg:?}: a refresh encrypts nothing");
+                now += t.refresh_duration();
+                // The first read of the last group, then a second read in it.
+                let last = cfg.entries - 1;
+                let group_words = (words - 1) % 8 + 1;
+                let _ = t.key_at(last, now);
+                assert_eq!(
+                    c.blocks(),
+                    before + group_words as u64,
+                    "{cfg:?}: last group"
+                );
+                let _ = t.key_at(last - (group_words - 1) * per_word, now);
+                assert_eq!(
+                    c.blocks(),
+                    before + group_words as u64,
+                    "{cfg:?}: same group"
+                );
+                let _ = t.key_at(0, now);
+                assert_eq!(
+                    c.blocks(),
+                    before + group_words as u64 + 8,
+                    "{cfg:?}: first group"
+                );
+                for entry in 0..cfg.entries {
+                    let _ = t.key_at(entry, now);
+                }
+                assert_eq!(c.blocks(), before + words as u64, "{cfg:?}: each word once");
+                now += 10;
+            }
+        }
     }
 
     #[test]

@@ -63,13 +63,19 @@ pub trait TweakableBlockCipher: Send + Sync {
     /// default does exactly that — but a cipher may override it to build
     /// its per-tweak schedule once for the batch and to run independent
     /// blocks side by side: QARMA steps 8 blocks through each round
-    /// together, so their table loads overlap. The key-table refresh
-    /// encrypts its whole code book this way.
+    /// together, so their table loads overlap. The keys table computes its
+    /// code book this way, one aligned group of 8 words at a time, when a
+    /// read first reaches the group.
     fn encrypt_batch(&self, blocks: &mut [u64], tweak: u64) {
         for b in blocks.iter_mut() {
             *b = self.encrypt(*b, tweak);
         }
     }
+
+    /// A boxed copy of this cipher, keys included. A keys table keeps one
+    /// per code-book generation, to compute the generation's words when a
+    /// read first reaches them.
+    fn boxed_copy(&self) -> Box<dyn TweakableBlockCipher>;
 
     /// Modeled hardware latency in cycles when used inline in a pipeline.
     fn latency_cycles(&self) -> u32;
@@ -118,6 +124,10 @@ impl TweakableBlockCipher for XorCipher {
         ciphertext ^ self.key ^ tweak
     }
 
+    fn boxed_copy(&self) -> Box<dyn TweakableBlockCipher> {
+        Box::new(*self)
+    }
+
     fn latency_cycles(&self) -> u32 {
         1
     }
@@ -149,6 +159,10 @@ impl TweakableBlockCipher for IdentityCipher {
 
     fn decrypt(&self, ciphertext: u64, _tweak: u64) -> u64 {
         ciphertext
+    }
+
+    fn boxed_copy(&self) -> Box<dyn TweakableBlockCipher> {
+        Box::new(*self)
     }
 
     fn latency_cycles(&self) -> u32 {

@@ -95,6 +95,10 @@ impl TweakableBlockCipher for Llbc {
         s
     }
 
+    fn boxed_copy(&self) -> Box<dyn TweakableBlockCipher> {
+        Box::new(*self)
+    }
+
     fn latency_cycles(&self) -> u32 {
         // CEASER's LLBC produces a ciphertext in 2 cycles (§III-A).
         2

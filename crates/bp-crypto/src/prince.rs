@@ -180,6 +180,10 @@ impl TweakableBlockCipher for Prince {
         self.decrypt_block(ciphertext ^ tweak) ^ tweak
     }
 
+    fn boxed_copy(&self) -> Box<dyn TweakableBlockCipher> {
+        Box::new(*self)
+    }
+
     fn latency_cycles(&self) -> u32 {
         // Paper §I: ~8 cycles on a 4 GHz processor.
         8

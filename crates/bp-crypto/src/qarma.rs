@@ -466,8 +466,8 @@ impl TweakableBlockCipher for Qarma64 {
     }
 
     fn encrypt_batch(&self, blocks: &mut [u64], tweak: u64) {
-        // One schedule walk for the whole batch; a code-book refresh
-        // encrypts every word under the same seed tweak.
+        // One schedule walk for the whole batch; a code-book fill encrypts
+        // a group of words under its generation's seed tweak.
         let sched = self.enc_schedule(tweak);
         let (lanes, rest) = blocks.as_chunks_mut::<LANES>();
         for z in lanes {
@@ -476,6 +476,10 @@ impl TweakableBlockCipher for Qarma64 {
         for b in rest {
             sched.apply(std::array::from_mut(b));
         }
+    }
+
+    fn boxed_copy(&self) -> Box<dyn TweakableBlockCipher> {
+        Box::new(*self)
     }
 
     fn latency_cycles(&self) -> u32 {
