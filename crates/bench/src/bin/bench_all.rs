@@ -38,9 +38,9 @@
 //! With `--telemetry DIR` every experiment additionally exports a sorted,
 //! schema-valid telemetry JSONL file into `DIR` (validated line-by-line
 //! after each experiment), and the journal carries per-experiment
-//! telemetry summaries. Capture turns the memo off so every point
-//! actually simulates and each experiment's file holds its own points'
-//! events, deterministically at any `--threads`.
+//! telemetry summaries. The memo stays on: each entry keeps its point's
+//! events and every lookup replays them, so each experiment's file holds
+//! its own points' events, deterministically at any `--threads`.
 //!
 //! Usage: `bench_all [--only NAME,...] [OPTIONS]`; [`bench::cli`] documents
 //! every option.
@@ -189,7 +189,7 @@ fn main() {
     }
     if let Some(dir) = &ctx.telemetry_dir {
         println!(
-            "telemetry: exporting JSONL to {} (point memo off: every point simulates)",
+            "telemetry: exporting JSONL to {} (a memo hit replays its point's events)",
             dir.display()
         );
     }

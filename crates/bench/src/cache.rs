@@ -3,7 +3,8 @@
 //! Table I, Figs. 5–8 and Table VI all normalise against the same
 //! baseline and no-switch runs, so one `bench_all` process would otherwise
 //! simulate many points more than once. This memo holds each simulated
-//! run's whole [`RunMetrics`] under its point's description — the
+//! run's whole [`RunMetrics`], with the telemetry events its sink captured,
+//! under its point's description — the
 //! `Debug` text of a [`crate::Point`], which spells out the mechanism
 //! (including its embedded configuration), the workload and the exact
 //! [`SimConfig`](bp_pipeline::SimConfig) — so a run made once (by any
@@ -15,7 +16,9 @@
 //! * Nothing outlives the process, so an entry can never be stale against
 //!   the code that computed it.
 //! * Entries are the runs themselves, shared behind an [`Arc`], so a hit
-//!   reproduces the computing run *bit-exactly*.
+//!   reproduces the computing run *bit-exactly*, and its events: the
+//!   caller hands a hit's events to the telemetry hub as a miss's, so an
+//!   export does not depend on which lookup simulated.
 //! * The first writer of a key wins, and every caller gets the stored
 //!   run. Runs are deterministic, so two workers racing on one key cost a
 //!   duplicate simulation, never a different number; `misses − points`
@@ -28,6 +31,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use bp_common::TelemetryEvent;
 use bp_pipeline::RunMetrics;
 
 /// Lookup counters of one memo.
@@ -35,9 +39,9 @@ use bp_pipeline::RunMetrics;
 pub struct CacheStats {
     /// Lookups served from the memo.
     pub hits: u64,
-    /// Lookups that simulated (absent key, or memo off).
+    /// Lookups that simulated (the key was absent).
     pub misses: u64,
-    /// Distinct points held (0 when the memo is off).
+    /// Distinct points held.
     pub points: u64,
 }
 
@@ -53,42 +57,37 @@ impl CacheStats {
     }
 }
 
-type Entries = BTreeMap<String, Arc<RunMetrics>>;
+/// One memo entry: a simulated run and what its telemetry sink captured.
+#[derive(Debug, Clone)]
+pub struct Recorded {
+    /// The run.
+    pub run: Arc<RunMetrics>,
+    /// The events the run emitted, drained from its sink (none when
+    /// telemetry capture is off).
+    pub events: Arc<[TelemetryEvent]>,
+    /// Events the run's sink lost to ring overflow.
+    pub dropped: u64,
+}
+
+type Entries = BTreeMap<String, Recorded>;
 
 /// The in-process point memo, shared by reference across worker threads.
-/// [`crate::Ctx`] owns one; telemetry capture
-/// ([`crate::Ctx::with_telemetry_dir`]) is the only thing that turns it
-/// off.
-#[derive(Debug)]
+/// [`crate::Ctx`] owns one.
+#[derive(Debug, Default)]
 pub struct ModelCache {
-    /// Runs by point description; `None` when the memo is off.
-    entries: Option<Mutex<Entries>>,
+    /// Recorded runs by point description.
+    entries: Mutex<Entries>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl ModelCache {
-    /// An empty memo; with `enabled = false` it stores nothing and every
-    /// lookup computes.
-    pub(crate) fn new(enabled: bool) -> ModelCache {
-        ModelCache {
-            entries: enabled.then(Mutex::default),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether lookups may be served from the memo.
-    pub fn is_enabled(&self) -> bool {
-        self.entries.is_some()
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            points: self.entries.as_ref().map_or(0, |e| lock(e).len() as u64),
+            points: lock(&self.entries).len() as u64,
         }
     }
 
@@ -96,21 +95,20 @@ impl ModelCache {
     /// memoises its result. `compute` must be a pure function of the
     /// point `key` describes — that is the caller's half of the
     /// determinism contract. The lock is never held while computing.
-    pub fn get_or_compute<F>(&self, key: &str, compute: F) -> Arc<RunMetrics>
+    pub fn get_or_compute<F>(&self, key: &str, compute: F) -> Recorded
     where
-        F: FnOnce() -> RunMetrics,
+        F: FnOnce() -> Recorded,
     {
-        let Some(entries) = &self.entries else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(compute());
-        };
-        if let Some(run) = lock(entries).get(key) {
+        if let Some(recorded) = lock(&self.entries).get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(run);
+            return recorded.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let run = Arc::new(compute());
-        Arc::clone(lock(entries).entry(key.to_owned()).or_insert(run))
+        let recorded = compute();
+        lock(&self.entries)
+            .entry(key.to_owned())
+            .or_insert(recorded)
+            .clone()
     }
 }
 
@@ -127,22 +125,29 @@ mod tests {
     use hybp::BpuStats;
 
     /// A hand-built run told apart by its cycle count alone.
-    fn run(cycles: u64) -> RunMetrics {
-        RunMetrics {
-            threads: Vec::new(),
-            cycles,
-            bpu: BpuStats::default(),
-            stages: StageCycles::default(),
-            stream_digests: Vec::new(),
+    fn run(cycles: u64) -> Recorded {
+        Recorded {
+            run: Arc::new(RunMetrics {
+                threads: Vec::new(),
+                cycles,
+                bpu: BpuStats::default(),
+                stages: StageCycles::default(),
+                stream_digests: Vec::new(),
+            }),
+            events: Arc::new([]),
+            dropped: 0,
         }
     }
 
     #[test]
     fn round_trip_is_bit_exact() {
-        let cache = ModelCache::new(true);
+        let cache = ModelCache::default();
         let first = cache.get_or_compute("x=1", || run(7));
         let second = cache.get_or_compute("x=1", || panic!("must hit"));
-        assert!(Arc::ptr_eq(&first, &second), "a hit is the stored run");
+        assert!(
+            Arc::ptr_eq(&first.run, &second.run) && Arc::ptr_eq(&first.events, &second.events),
+            "a hit is the stored run"
+        );
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.points), (1, 1, 1));
     }
@@ -155,7 +160,7 @@ mod tests {
         // a different run, so "same run everywhere" shows that the first
         // writer's entry is the one every caller gets.
         const THREADS: usize = 8;
-        let cache = ModelCache::new(true);
+        let cache = ModelCache::default();
         let barrier = std::sync::Barrier::new(THREADS);
         let seen: Vec<u64> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..THREADS)
@@ -171,31 +176,22 @@ mod tests {
                 .collect();
             workers
                 .into_iter()
-                .map(|w| w.join().unwrap().cycles)
+                .map(|w| w.join().unwrap().run.cycles)
                 .collect()
         });
         assert!(seen.iter().all(|&v| v == seen[0]), "{seen:?}");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.points), (0, 8, 1), "8 runs, 1 point");
         let stored = cache.get_or_compute("x=c", || panic!("must hit"));
-        assert_eq!(stored.cycles, seen[0]);
+        assert_eq!(stored.run.cycles, seen[0]);
     }
 
     #[test]
     fn distinct_keys_do_not_alias() {
-        let cache = ModelCache::new(true);
-        assert_eq!(cache.get_or_compute("Baseline", || run(1)).cycles, 1);
-        assert_eq!(cache.get_or_compute("Flush", || run(2)).cycles, 2);
+        let cache = ModelCache::default();
+        assert_eq!(cache.get_or_compute("Baseline", || run(1)).run.cycles, 1);
+        assert_eq!(cache.get_or_compute("Flush", || run(2)).run.cycles, 2);
         assert_eq!(cache.stats().points, 2);
-    }
-
-    #[test]
-    fn disabled_cache_never_hits_or_writes() {
-        let cache = ModelCache::new(false);
-        assert_eq!(cache.get_or_compute("x=3", || run(5)).cycles, 5);
-        assert_eq!(cache.get_or_compute("x=3", || run(6)).cycles, 6);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.points), (0, 2, 0));
     }
 
     #[test]

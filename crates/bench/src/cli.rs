@@ -15,9 +15,9 @@
 //!   clean whose CSV is still intact,
 //! * `--deadline-secs N` — abandon any one experiment after `N` seconds,
 //! * `--telemetry DIR` — export one sorted telemetry JSONL file per
-//!   experiment into `DIR`. Capture turns the in-process point memo off: a
-//!   memoised point runs no simulation, so a point shared by two
-//!   experiments would put its events in whichever file computed it first.
+//!   experiment into `DIR`. The in-process point memo stays on: each entry
+//!   keeps the events its run emitted, and every lookup, hit or miss, adds
+//!   them to its experiment's file.
 //! * `--trace-dir DIR` — replay every instruction stream from the `.bpt`
 //!   traces in `DIR` (recorded with `trace_tool record`) instead of
 //!   running the synthetic generators. The memo stays on: every entry was
@@ -238,7 +238,7 @@ pub struct Ctx {
     /// Worker pool for the sweep grids.
     pub pool: Pool,
     /// In-process memo of simulated points, shared by every experiment
-    /// run through this context (off under telemetry capture).
+    /// run through this context.
     pub cache: ModelCache,
     /// Retry policy applied to every supervised sweep.
     pub retry: RetryPolicy,
@@ -269,7 +269,7 @@ impl Ctx {
         Ctx {
             scale,
             pool,
-            cache: ModelCache::new(true),
+            cache: ModelCache::default(),
             retry: RetryPolicy::standard(RETRY_SEED),
             fault_points: PointFaultPlan::empty(),
             supervisor: Supervisor::new(),
@@ -309,12 +309,9 @@ impl Ctx {
     }
 
     /// Enables telemetry capture, flushing one JSONL file per experiment
-    /// into `dir`, and turns the memo off: a memoised point runs no
-    /// simulation, so a point shared by two experiments would put its
-    /// events in whichever one computed it first (or in both, under a
-    /// race).
+    /// into `dir`. The memo stays on: it keeps each point's events, and
+    /// [`Ctx::point`] hands them to the hub on every lookup.
     pub fn with_telemetry_dir(mut self, dir: impl Into<PathBuf>) -> Ctx {
-        self.cache = ModelCache::new(false);
         self.telemetry = TelemetryHub::new(true);
         self.telemetry_dir = Some(dir.into());
         self
@@ -608,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_flag_parses_and_forces_cache_off() {
+    fn telemetry_flag_parses() {
         let o = parse(&s(&["--telemetry", "out/telemetry", "--threads", "1"])).unwrap();
         assert_eq!(
             o.telemetry.as_deref(),
@@ -619,10 +616,6 @@ mod tests {
         assert_eq!(
             ctx.telemetry_dir.as_deref(),
             Some(std::path::Path::new("out/telemetry"))
-        );
-        assert!(
-            !ctx.cache.is_enabled(),
-            "telemetry capture must turn the memo off"
         );
     }
 
@@ -638,14 +631,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_replay_keeps_the_memo_on() {
+    fn a_missing_trace_dir_opens() {
         // A missing trace directory opens fine (replay fails per point).
         let dir = std::env::temp_dir().join(format!("hybp-cli-no-traces-{}", std::process::id()));
         let path = dir.display().to_string();
         let o = parse(&s(&["--trace-dir", &path, "--threads", "1"])).unwrap();
         let ctx = Ctx::from_options(o).unwrap();
         assert!(ctx.trace.is_some());
-        assert!(ctx.cache.is_enabled());
     }
 
     #[test]
@@ -653,6 +645,5 @@ mod tests {
         let o = parse(&[]).unwrap();
         assert_eq!(o.scale, Scale::Default);
         assert!(o.threads >= 1);
-        assert!(Ctx::custom(o.scale, Pool::new(1)).cache.is_enabled());
     }
 }

@@ -126,7 +126,7 @@ fn run_one(
         .expect("valid config")
         .run()
         .expect("simulation completes");
-    ctx.telemetry.absorb(&sink);
+    ctx.telemetry.absorb(&sink.drain(), sink.dropped());
     let stats = injector.map(|i| i.stats()).unwrap_or_default();
     (metrics, stats)
 }

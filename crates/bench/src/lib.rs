@@ -157,14 +157,21 @@ impl Ctx {
     /// The run of `point`, through the context's memo. A miss simulates
     /// the point, observed by a fresh telemetry sink and replaying from
     /// the attached trace store, if any; a hit returns the stored run.
-    /// Every memoised run of every experiment comes through here.
+    /// Either way the point's telemetry events go to the hub, so an export
+    /// reads as if every lookup had simulated. Every memoised run of every
+    /// experiment comes through here.
     pub fn point(&self, point: &Point) -> Arc<RunMetrics> {
-        self.cache.get_or_compute(&format!("{point:?}"), || {
+        let recorded = self.cache.get_or_compute(&format!("{point:?}"), || {
             let sink = self.telemetry.sink();
             let run = point.run(&sink, self.trace.as_ref());
-            self.telemetry.absorb(&sink);
-            run
-        })
+            cache::Recorded {
+                run: Arc::new(run),
+                events: sink.drain().into(),
+                dropped: sink.dropped(),
+            }
+        });
+        self.telemetry.absorb(&recorded.events, recorded.dropped);
+        recorded.run
     }
 
     /// IPC of `bench` running alone under `mechanism` and `cfg`.

@@ -2,7 +2,9 @@
 //!
 //! Every simulation point computed by the harness gets a fresh ring sink
 //! from [`TelemetryHub::sink`]; when the point finishes, its events are
-//! absorbed back with [`TelemetryHub::absorb`]. At experiment end the hub
+//! drained into the point memo beside its run, and every lookup of the
+//! point, hit or miss, hands them to the hub with
+//! [`TelemetryHub::absorb`]. At experiment end the hub
 //! drains into one JSONL file per experiment
 //! (`<telemetry_dir>/<csv-stem>.jsonl`), sorted by full event content.
 //!
@@ -11,11 +13,11 @@
 //! Events are stamped with deterministic *virtual* cycles, and the flush
 //! sorts by the event's entire content (cycle first), so the byte stream is
 //! independent of worker-thread scheduling and of the order in which sweep
-//! points were absorbed. The only remaining hazard is the point memo: a
-//! memoised point runs no simulation and emits nothing, so telemetry
-//! capture turns the memo off (see [`crate::cli::Ctx::with_telemetry_dir`])
-//! — every point computes, and the event multiset is a pure function of
-//! the experiment's inputs.
+//! points were absorbed. A memo hit runs no simulation, so the memo keeps
+//! each point's events and [`crate::cli::Ctx::point`] replays them on every
+//! lookup: an experiment's file holds one copy of a point's events per
+//! lookup, whichever experiment or worker simulated it, and the event
+//! multiset is a pure function of the experiment's inputs.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,18 +78,17 @@ impl TelemetryHub {
         }
     }
 
-    /// Moves a point sink's events (and overflow count) into the hub.
-    pub fn absorb(&self, sink: &Telemetry) {
+    /// Adds one point's drained events and its sink's overflow count.
+    pub fn absorb(&self, events: &[TelemetryEvent], dropped: u64) {
         if !self.enabled {
             return;
         }
-        let drained = sink.drain();
-        self.dropped.fetch_add(sink.dropped(), Ordering::Relaxed);
-        if !drained.is_empty() {
+        self.dropped.fetch_add(dropped, Ordering::Relaxed);
+        if !events.is_empty() {
             self.events
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .extend(drained);
+                .extend_from_slice(events);
         }
     }
 
@@ -98,7 +99,7 @@ impl TelemetryHub {
         }
         let sink = Telemetry::ring(1);
         sink.mark(0, scope, name, value, 0);
-        self.absorb(&sink);
+        self.absorb(&sink.drain(), sink.dropped());
     }
 
     /// Events currently buffered (awaiting a flush).
@@ -182,7 +183,7 @@ mod tests {
         let sink = hub.sink();
         assert!(!sink.is_enabled());
         sink.mark(1, "a", "b", 2, 0);
-        hub.absorb(&sink);
+        hub.absorb(&sink.drain(), sink.dropped());
         hub.mark("bench", "points", 3);
         assert_eq!(hub.pending_events(), 0);
     }
@@ -194,8 +195,8 @@ mod tests {
         late.mark(500, "sim", "late", 1, 0);
         let early = hub.sink();
         early.mark(5, "sim", "early", 1, 0);
-        hub.absorb(&late);
-        hub.absorb(&early);
+        hub.absorb(&late.drain(), 0);
+        hub.absorb(&early.drain(), 0);
         hub.mark("bench", "points", 2);
         assert_eq!(hub.pending_events(), 3);
         let dir = std::env::temp_dir().join(format!("hybp-telemetry-{}", std::process::id()));
@@ -220,7 +221,7 @@ mod tests {
         let sink = Telemetry::ring(1);
         sink.mark(1, "a", "b", 1, 0);
         sink.mark(2, "a", "b", 2, 0);
-        hub.absorb(&sink);
+        hub.absorb(&sink.drain(), sink.dropped());
         let dir = std::env::temp_dir().join(format!("hybp-telemetry-drop-{}", std::process::id()));
         let summary = hub.flush_jsonl(&dir, "drop").unwrap();
         assert_eq!(summary.events, 1);

@@ -10,6 +10,8 @@
 
 use bench::{no_switch_config, overhead_model, Ctx, Point, Scale};
 use bp_common::pool::Pool;
+use bp_common::telemetry::jsonl_line;
+use bp_common::Telemetry;
 use bp_pipeline::{SimConfig, Simulation};
 use bp_workloads::profile::SpecBenchmark;
 use hybp::Mechanism;
@@ -173,19 +175,44 @@ fn telemetry_jsonl_is_byte_identical_across_thread_counts() {
     );
 }
 
-/// Telemetry capture is the memo's one off switch: every lookup then
-/// simulates, and still lands on the same bits.
+/// Telemetry capture keeps the memo on: a point read twice is one miss
+/// and one hit, and the flushed JSONL holds its events twice, once per
+/// lookup, as it would if both lookups had simulated.
 #[test]
-fn disabled_cache_still_computes_correctly() {
-    let dir = std::env::temp_dir().join(format!("hybp-determinism-off-{}", std::process::id()));
+fn telemetry_capture_keeps_the_memo_and_replays_a_hit() {
+    let dir = std::env::temp_dir().join(format!("hybp-determinism-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let ctx = Ctx::custom(Scale::Quick, Pool::new(2)).with_telemetry_dir(&dir);
-    assert!(!ctx.cache.is_enabled());
-    let cfg = no_switch_config(ctx.scale);
-    let a = ctx.ipc(Mechanism::Baseline, SpecBenchmark::Roms, cfg);
-    let b = ctx.ipc(Mechanism::Baseline, SpecBenchmark::Roms, cfg);
-    assert_eq!(a.to_bits(), b.to_bits());
+    let mech = Mechanism::hybp_default();
+    let bench = SpecBenchmark::Roms;
+    let mut cfg = SimConfig::quick_test();
+    cfg.ctx_switch_interval = 25_000;
+    // One run's events, through a sink of its own.
+    let sink = Telemetry::ring(bench::telemetry::POINT_RING_CAPACITY);
+    Simulation::builder(mech, cfg)
+        .single_thread(bench)
+        .telemetry(sink.clone())
+        .build()
+        .expect("valid config")
+        .run()
+        .expect("completes");
+    let once = sink.drain();
+    assert!(!once.is_empty(), "the point must emit events");
+
+    let point = Point::single(mech, bench, cfg);
+    assert_eq!(*ctx.point(&point), *ctx.point(&point));
     let stats = ctx.cache.stats();
-    assert_eq!((stats.hits, stats.misses), (0, 2));
+    assert_eq!((stats.hits, stats.misses, stats.points), (1, 1, 1));
+    let summary = ctx
+        .telemetry
+        .flush_jsonl(&dir, "replay")
+        .expect("JSONL written");
+    let text = std::fs::read_to_string(&summary.path).expect("JSONL readable");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut twice = [once.clone(), once].concat();
+    twice.sort_unstable();
+    let expected: String = twice.iter().map(|e| jsonl_line(e) + "\n").collect();
+    assert_eq!(text, expected);
 }
 
 /// A fresh context writing CSVs under `base`: its memo starts empty, so

@@ -71,7 +71,7 @@ impl KeyChangePolicy {
     /// access per cycle worst case.
     pub fn paper_default() -> Self {
         KeyChangePolicy {
-            access_threshold: 1 << 27,
+            access_threshold: bp_crypto::keys::PAPER_RENEWAL_THRESHOLD,
             time_slice_cycles: 1 << 24,
             accesses_per_cycle: 1.0,
         }

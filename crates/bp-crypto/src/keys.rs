@@ -9,8 +9,9 @@
 //! plaintext index.
 //!
 //! The code book is renewed when (1) a context switch occurs or (2) a
-//! dedicated access counter reaches its threshold (§V-D sets it near the
-//! 2²⁷-access attack bound). Renewal is *non-stalling*: the pipeline keeps
+//! dedicated per-slot counter of BPU accesses, one per predicted branch,
+//! reaches its threshold (§V-D sets it near the 2²⁷-access attack bound;
+//! [`KeyManager::count_access`]). Renewal is *non-stalling*: the pipeline keeps
 //! predicting while the SRAM is rewritten; a lookup that lands on a
 //! not-yet-rewritten word simply returns the stale key, costing only
 //! prediction accuracy, never correctness ([`KeysTable::key_at`]).
@@ -347,7 +348,6 @@ pub struct KeysTable {
     keys_per_word: usize,
     book: Book,
     refresh: Option<RefreshState>,
-    accesses_since_refresh: u64,
     generation: u64,
     stale_hits: u64,
     anomalous_reads: u64,
@@ -356,14 +356,7 @@ pub struct KeysTable {
 impl PartialEq for KeysTable {
     fn eq(&self, other: &Self) -> bool {
         let config = &self.config;
-        let counters = |t: &Self| {
-            (
-                t.accesses_since_refresh,
-                t.generation,
-                t.stale_hits,
-                t.anomalous_reads,
-            )
-        };
+        let counters = |t: &Self| (t.generation, t.stale_hits, t.anomalous_reads);
         *config == other.config
             && counters(self) == counters(other)
             && self.book.contents(config) == other.book.contents(config)
@@ -393,7 +386,6 @@ impl KeysTable {
             book: Book::zeroed(config.entries),
             config,
             refresh: None,
-            accesses_since_refresh: 0,
             generation: 0,
             stale_hits: 0,
             anomalous_reads: 0,
@@ -484,15 +476,12 @@ impl KeysTable {
             tweak: seed.raw(),
             timer_base,
         });
-        self.accesses_since_refresh = 0;
         self.generation += 1;
     }
 
     /// Reads the key for `entry` at cycle `now`, modelling the non-stalling
     /// refresh: if the word holding `entry` has not been rewritten yet, the
     /// *previous generation's* key is returned (and counted as a stale hit).
-    ///
-    /// Also counts the access toward the renewal threshold.
     ///
     /// An out-of-range `entry` (a faulted index, or a caller bug) is folded
     /// back into the table and counted in
@@ -515,7 +504,6 @@ impl KeysTable {
             self.anomalous_reads += n;
             entry % self.config.entries
         };
-        self.accesses_since_refresh += n;
         let mut stale = false;
         if let Some(started_at) = self.refresh.as_ref().map(|r| r.started_at) {
             let fresh = self.fresh_entries(started_at, now);
@@ -547,24 +535,6 @@ impl KeysTable {
         if let Some(k) = self.book.slot(entry, &self.config) {
             *k ^= 1u64 << bit;
         }
-    }
-
-    /// Forces the access counter to at least `count` (counter-saturation
-    /// fault; the next threshold check then triggers a renewal).
-    pub fn force_access_count(&mut self, count: u64) {
-        self.accesses_since_refresh = self.accesses_since_refresh.max(count);
-    }
-
-    /// Whether the access counter has reached `threshold` and a renewal
-    /// request should be sent (§VI-C).
-    #[inline]
-    pub fn needs_refresh(&self, threshold: u64) -> bool {
-        self.accesses_since_refresh >= threshold
-    }
-
-    /// Number of accesses since the last refresh (the dedicated counter).
-    pub fn accesses_since_refresh(&self) -> u64 {
-        self.accesses_since_refresh
     }
 
     /// How many lookups returned a stale (old-generation) key, across the
@@ -635,14 +605,16 @@ impl DomainKeys {
 /// Owns one [`DomainKeys`] per `(hardware thread, privilege)` slot, the
 /// modeled hardware timer and random source, and implements the paper's key
 /// change policy: renew a slot's keys on context switch and whenever the
-/// access counter reaches the threshold.
+/// slot's access counter reaches the threshold. An access is one predicted
+/// branch ([`KeyManager::count_access`]), the unit the §VI-C attack costs
+/// are counted in; keys-table reads do not count.
 ///
 /// Content-key update is a 1-cycle register write and takes effect
 /// immediately; the keys-table rewrite proceeds in the background
 /// (two-step refresh, §V-C2).
 ///
 /// An optional [`FaultInjector`] disturbs key reads (persistent bit flips),
-/// counter checks (saturation) and refresh requests (delay/drop); see the
+/// counted accesses (saturation) and refresh requests (delay/drop); see the
 /// `bp-faults` crate. Disturbances never change the *reported* refresh
 /// timing — [`KeyManager::renew`] always returns the nominal completion
 /// cycle, so no fault opens a timing channel.
@@ -654,6 +626,8 @@ pub struct KeyManager {
     rand_source: bp_common::rng::SplitMix64,
     /// Models the free-running timer register read during code-book fill.
     timer: u64,
+    /// Accesses (predicted branches) per slot since its last refresh began.
+    accesses: Vec<u64>,
     /// Access-counter threshold for forced renewal (paper: ≈ 2²⁷).
     threshold: u64,
     faults: Option<FaultInjector>,
@@ -665,7 +639,7 @@ pub struct KeyManager {
 }
 
 /// The paper's renewal threshold: the shortest analyzed attack needs ≈ 2²⁷
-/// BPU accesses (§VI-C).
+/// BPU accesses (§VI-C), counted as predicted branches per slot.
 pub const PAPER_RENEWAL_THRESHOLD: u64 = 1 << 27;
 
 impl KeyManager {
@@ -698,6 +672,7 @@ impl KeyManager {
             slots,
             rand_source: bp_common::rng::SplitMix64::new(seed),
             timer: 0x1000,
+            accesses: vec![0; slot_count],
             threshold,
             faults: None,
             telemetry: bp_common::Telemetry::disabled(),
@@ -707,7 +682,7 @@ impl KeyManager {
     }
 
     /// Installs (or removes) the fault injector consulted on key reads,
-    /// counter checks and refresh requests.
+    /// counted accesses and refresh requests.
     pub fn set_fault_injector(&mut self, faults: Option<FaultInjector>) {
         self.faults = faults;
     }
@@ -718,16 +693,6 @@ impl KeyManager {
     /// the exported event stream cannot leak fault state through timing.
     pub fn set_telemetry(&mut self, telemetry: bp_common::Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Number of isolation slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The renewal threshold in accesses.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
     }
 
     /// Folds an out-of-range slot id into range (counted per-table as an
@@ -760,8 +725,8 @@ impl KeyManager {
             None => RefreshDisposition::Proceed,
         };
         if disposition == RefreshDisposition::Drop {
-            // The renewal request is lost: keys stay stale, the counter
-            // keeps running, and the next trigger will retry. The stall is
+            // The renewal request is lost: keys stay stale, the access
+            // counter keeps running, and the next access retries. The stall is
             // counted so a serving layer can surface degraded mode — the
             // counter is observation-only and never feeds back into timing.
             self.refresh_stalls += 1;
@@ -784,24 +749,47 @@ impl KeyManager {
         self.timer = self.timer.wrapping_add(0x10_0000);
         let table = self.slots[slot].table_mut();
         table.begin_refresh(self.cipher.as_ref(), seed, timer_base, start);
+        self.accesses[slot] = 0;
         nominal_done
     }
 
-    /// Looks up the index key for a branch in `slot`; the table is indexed by
-    /// a slice of the branch PC (§V-C). Counts the access and, if the counter
-    /// crossed the threshold, renews the slot's keys automatically and
-    /// reports it.
+    /// Counts one access (one predicted branch) of `slot` and, when the
+    /// slot's count reaches the threshold, renews its keys as
+    /// [`KeyManager::renew`] does. Returns whether it renewed.
     ///
-    /// Returns `(key, renewed)`.
+    /// The counter-saturation fault is consulted here, once per access; a
+    /// firing fault raises the count to the threshold. A renewal whose
+    /// rewrite a fault drops leaves the count where it is, so the next
+    /// access retries.
     #[inline]
-    pub fn index_key(
-        &mut self,
-        slot: usize,
-        pc_slice: u64,
-        asid: Asid,
-        vmid: Vmid,
-        now: Cycle,
-    ) -> (u64, bool) {
+    pub fn count_access(&mut self, slot: usize, asid: Asid, vmid: Vmid, now: Cycle) -> bool {
+        let slot = self.clamp_slot(slot);
+        let saturated = self
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.saturate_counter(slot, now));
+        let count = &mut self.accesses[slot];
+        *count += 1;
+        if saturated {
+            *count = (*count).max(self.threshold);
+        }
+        if *count < self.threshold {
+            return false;
+        }
+        self.renew(slot, asid, vmid, now);
+        true
+    }
+
+    /// Accesses counted for `slot` since its last refresh began.
+    pub fn accesses(&self, slot: usize) -> u64 {
+        self.accesses[self.clamp_slot(slot)]
+    }
+
+    /// Reads the index key for a branch in `slot`; the table is indexed by
+    /// a slice of the branch PC (§V-C). A read never renews: renewal counts
+    /// predicted branches ([`KeyManager::count_access`]), not reads.
+    #[inline]
+    pub fn index_key(&mut self, slot: usize, pc_slice: u64, now: Cycle) -> u64 {
         let slot = self.clamp_slot(slot);
         let entry = self.entry(slot, pc_slice);
         // Borrow rather than clone: `faults` and `slots` are disjoint fields,
@@ -812,31 +800,20 @@ impl KeyManager {
             if let Some(bit) = f.on_key_read(slot, entry, key_bits, now) {
                 self.slots[slot].table_mut().inject_bit_flip(entry, bit);
             }
-            if f.saturate_counter(slot, now) {
-                let threshold = self.threshold;
-                self.slots[slot].table_mut().force_access_count(threshold);
-            }
         }
-        let key = self.slots[slot].table_mut().key_at(entry, now);
-        if self.slots[slot].table().needs_refresh(self.threshold) {
-            self.renew(slot, asid, vmid, now);
-            return (key, true);
-        }
-        (key, false)
+        self.slots[slot].table_mut().key_at(entry, now)
     }
 
     /// `n` reads of the index key [`KeyManager::index_key`] would return,
     /// counted in one step — or `None`, with nothing read or counted, when
-    /// the reads must go one at a time: when a fault injector is attached
-    /// (it acts on every read), or when the `n` reads would reach the
-    /// renewal threshold (a renewal would land mid-way).
+    /// a fault injector is attached: it acts on every read, so the reads
+    /// must go one at a time.
     #[inline]
     pub fn index_key_n(&mut self, slot: usize, pc_slice: u64, n: u64, now: Cycle) -> Option<u64> {
-        let slot = self.clamp_slot(slot);
-        let table = self.slots[slot].table();
-        if self.faults.is_some() || table.accesses_since_refresh() + n >= self.threshold {
+        if self.faults.is_some() {
             return None;
         }
+        let slot = self.clamp_slot(slot);
         let entry = self.entry(slot, pc_slice);
         Some(self.slots[slot].table_mut().key_at_n(entry, now, n))
     }
@@ -1144,11 +1121,7 @@ mod tests {
                     key = single.key_at(entry, now);
                 }
                 assert_eq!(batched.key_at_n(entry, now, n), key, "{case}, n = {n}");
-                assert_eq!(
-                    (batched.accesses_since_refresh(), batched.stale_hits()),
-                    (single.accesses_since_refresh(), single.stale_hits()),
-                    "{case}, n = {n}"
-                );
+                assert_eq!(batched.stale_hits(), single.stale_hits(), "{case}, n = {n}");
                 assert_eq!(batched.generation(), single.generation(), "{case}");
                 // Also the refresh state: retired alike, or still in flight.
                 assert!(batched == single, "{case}, n = {n}: whole table state");
@@ -1175,45 +1148,49 @@ mod tests {
         assert!(filled == a && filled.book.is_filled(9) && !a.book.is_filled(9));
     }
 
-    /// The batched manager read declines exactly when a renewal could fire
-    /// inside the `n` reads or a fault injector is attached (even one that
-    /// never fires), and then reads and counts nothing.
+    /// The batched manager read declines exactly when a fault injector is
+    /// attached (even one that never fires), and then reads and counts
+    /// nothing. Reads are not accesses: batches past the renewal threshold
+    /// neither decline nor renew.
     #[test]
-    fn batched_manager_read_declines_only_near_the_threshold_or_under_faults() {
+    fn batched_manager_read_declines_only_under_faults() {
         let threshold = 100;
         let mut km = manager(1, KeysTableConfig::paper_default(), threshold, 43);
         km.renew(0, Asid::new(3), Vmid::new(1), 0);
         let mut single = manager(1, KeysTableConfig::paper_default(), threshold, 43);
         single.renew(0, Asid::new(3), Vmid::new(1), 0);
-        let accesses = |km: &KeyManager| km.slot(0).table().accesses_since_refresh();
-        // 40 + 30 reads stay below 100; the next 30 would reach it.
-        for (n, total) in [(40, 40), (30, 70)] {
+        // 40 + 30 reads, then 200 more, past the threshold.
+        for n in [40, 30, 200] {
             let key = km
                 .index_key_n(0, 0x55, n, 5_000)
-                .expect("below the threshold");
+                .expect("no fault injector");
             let mut single_key = 0;
             for _ in 0..n {
-                let (k, renewed) = single.index_key(0, 0x55, Asid::new(3), Vmid::new(1), 5_000);
-                assert!(!renewed);
-                single_key = k;
+                single_key = single.index_key(0, 0x55, 5_000);
             }
-            assert_eq!(key, single_key);
-            assert_eq!(accesses(&km), total);
+            assert_eq!(key, single_key, "n = {n}");
+            assert!(km.slot(0) == single.slot(0), "n = {n}: whole slot state");
         }
-        assert_eq!(km.index_key_n(0, 0x55, 30, 5_000), None, "70 + 30 >= 100");
         assert_eq!(
-            km.index_key_n(0, 0x55, 29, 5_000).map(|_| accesses(&km)),
-            Some(99)
+            (km.accesses(0), km.slot(0).table().generation()),
+            (0, 1),
+            "reads renew nothing"
         );
-        assert_eq!(km.index_key_n(0, 0x55, 1, 5_000), None, "99 + 1 >= 100");
-        assert_eq!(accesses(&km), 99, "a declined read counts nothing");
 
+        // At cycle 1 the rewrite begun at 0 has reached no word, so a read
+        // would count a stale hit.
         let mut faulted = manager(1, KeysTableConfig::paper_default(), threshold, 43);
+        faulted.renew(0, Asid::new(3), Vmid::new(1), 0);
         faulted.set_fault_injector(Some(FaultInjector::from_plan(FaultPlan::new(0))));
-        assert_eq!(faulted.index_key_n(0, 0x55, 1, 5_000), None, "empty plan");
-        assert_eq!(faulted.slot(0).table().accesses_since_refresh(), 0);
+        assert_eq!(faulted.index_key_n(0, 0x55, 1, 1), None, "empty plan");
+        assert_eq!(
+            faulted.slot(0).table().stale_hits(),
+            0,
+            "a declined read counts nothing"
+        );
         faulted.set_fault_injector(None);
-        assert!(faulted.index_key_n(0, 0x55, 1, 5_000).is_some());
+        assert!(faulted.index_key_n(0, 0x55, 1, 1).is_some());
+        assert_eq!(faulted.slot(0).table().stale_hits(), 1);
     }
 
     /// The per-entry refresh model: a refresh snapshots every entry's
@@ -1578,21 +1555,42 @@ mod tests {
         }
     }
 
+    /// The access counter renews its slot at the threshold and restarts; a
+    /// context-switch renewal restarts it too, and a dropped refresh leaves
+    /// it running, so every further access retries.
     #[test]
     fn access_counter_triggers_refresh_request() {
-        let mut t = table(KeysTableConfig::with_entries(4));
-        assert!(!t.needs_refresh(5));
-        for _ in 0..5 {
-            let _ = t.key_at(0, 0);
+        let mut km = manager(2, KeysTableConfig::with_entries(4), 5, 1);
+        let (asid, vmid) = (Asid::new(1), Vmid::new(0));
+        for i in 1..5 {
+            assert!(!km.count_access(0, asid, vmid, i));
+            assert_eq!(km.accesses(0), i);
         }
-        assert!(t.needs_refresh(5));
-        t.begin_refresh(
-            &cipher(),
-            IndexSeed::derive(Asid::new(0), Vmid::new(0), 0),
-            0,
-            0,
+        assert!(km.count_access(0, asid, vmid, 5), "the 5th access renews");
+        assert_eq!(
+            (km.accesses(0), km.slot(0).table().generation()),
+            (0, 1),
+            "counter must reset on refresh"
         );
-        assert!(!t.needs_refresh(5), "counter must reset on refresh");
+        assert_eq!(km.accesses(1), 0, "one counter per slot");
+        assert!(!km.count_access(0, asid, vmid, 6));
+        km.renew(0, asid, vmid, 7);
+        assert_eq!(km.accesses(0), 0, "a context-switch renewal resets it");
+
+        km.set_fault_injector(Some(FaultInjector::from_plan(
+            FaultPlan::new(5).with_refresh_drops(1),
+        )));
+        let renewed: Vec<bool> = (10..17)
+            .map(|now| km.count_access(0, asid, vmid, now))
+            .collect();
+        assert_eq!(renewed, [false, false, false, false, true, true, true]);
+        assert_eq!(
+            km.accesses(0),
+            7,
+            "a dropped refresh leaves the count running"
+        );
+        assert_eq!(km.slot(0).table().generation(), 2);
+        assert_eq!(km.refresh_stalls(), 3);
     }
 
     #[test]
@@ -1638,9 +1636,17 @@ mod tests {
 
     #[test]
     fn forced_counter_saturation_triggers_renewal() {
-        let mut t = table(KeysTableConfig::with_entries(8));
-        t.force_access_count(1 << 30);
-        assert!(t.needs_refresh(PAPER_RENEWAL_THRESHOLD));
+        let mut km = manager(
+            1,
+            KeysTableConfig::with_entries(8),
+            PAPER_RENEWAL_THRESHOLD,
+            3,
+        );
+        km.set_fault_injector(Some(FaultInjector::from_plan(
+            FaultPlan::new(5).with_counter_saturation(1),
+        )));
+        assert!(km.count_access(0, Asid::new(1), Vmid::new(0), 0));
+        assert_eq!((km.accesses(0), km.slot(0).table().generation()), (0, 1));
     }
 
     #[test]
@@ -1704,17 +1710,10 @@ mod tests {
     #[test]
     fn key_manager_counter_renewal() {
         let mut km = manager(1, KeysTableConfig::with_entries(8), 4, 9);
-        let mut renewed_count = 0;
-        for i in 0..20u64 {
-            let (_k, renewed) = km.index_key(0, i, Asid::new(1), Vmid::new(0), i * 10);
-            if renewed {
-                renewed_count += 1;
-            }
-        }
-        assert!(
-            renewed_count >= 4,
-            "threshold 4 over 20 accesses: {renewed_count}"
-        );
+        let renewals = (0..20u64)
+            .filter(|&i| km.count_access(0, Asid::new(1), Vmid::new(0), i * 10))
+            .count();
+        assert_eq!(renewals, 5, "threshold 4 over 20 accesses");
     }
 
     #[test]
@@ -1726,8 +1725,8 @@ mod tests {
             11,
         );
         km.renew(0, Asid::new(3), Vmid::new(1), 0);
-        let (k1, _) = km.index_key(0, 0x1234, Asid::new(3), Vmid::new(1), 5000);
-        let (k2, _) = km.index_key(0, 0x1234, Asid::new(3), Vmid::new(1), 6000);
+        let k1 = km.index_key(0, 0x1234, 5000);
+        let k2 = km.index_key(0, 0x1234, 6000);
         assert_eq!(k1, k2);
     }
 
@@ -1740,13 +1739,9 @@ mod tests {
             13,
         );
         km.renew(0, Asid::new(3), Vmid::new(1), 0);
-        let keys_a: Vec<u64> = (0..64)
-            .map(|pc| km.index_key(0, pc, Asid::new(3), Vmid::new(1), 5000).0)
-            .collect();
+        let keys_a: Vec<u64> = (0..64).map(|pc| km.index_key(0, pc, 5000)).collect();
         km.renew(0, Asid::new(3), Vmid::new(1), 10_000);
-        let keys_b: Vec<u64> = (0..64)
-            .map(|pc| km.index_key(0, pc, Asid::new(3), Vmid::new(1), 20_000).0)
-            .collect();
+        let keys_b: Vec<u64> = (0..64).map(|pc| km.index_key(0, pc, 20_000)).collect();
         assert_ne!(keys_a, keys_b);
     }
 
@@ -1762,7 +1757,9 @@ mod tests {
         let done = km.renew(5, Asid::new(1), Vmid::new(0), 100);
         assert!(done > 100);
         assert_eq!(km.slot(1).table().generation(), 1);
-        let _ = km.index_key(7, 0xAB, Asid::new(1), Vmid::new(0), 200);
+        let _ = km.index_key(7, 0xAB, 200);
+        assert!(!km.count_access(9, Asid::new(1), Vmid::new(0), 200));
+        assert_eq!(km.accesses(1), 1, "slot 9 folds to slot 1");
     }
 
     #[test]
@@ -1774,17 +1771,13 @@ mod tests {
             21,
         );
         km.renew(0, Asid::new(3), Vmid::new(1), 0);
-        let clean: Vec<u64> = (0..64)
-            .map(|pc| km.index_key(0, pc, Asid::new(3), Vmid::new(1), 5000).0)
-            .collect();
+        let clean: Vec<u64> = (0..64).map(|pc| km.index_key(0, pc, 5000)).collect();
         // Flip on every key read: each re-read entry differs by one bit from
         // its previous value.
         km.set_fault_injector(Some(FaultInjector::from_plan(
             FaultPlan::new(17).with_key_bit_flips(1),
         )));
-        let faulted: Vec<u64> = (0..64)
-            .map(|pc| km.index_key(0, pc, Asid::new(3), Vmid::new(1), 6000).0)
-            .collect();
+        let faulted: Vec<u64> = (0..64).map(|pc| km.index_key(0, pc, 6000)).collect();
         for (c, f) in clean.iter().zip(&faulted) {
             assert_eq!((c ^ f).count_ones(), 1, "one persistent bit flip per read");
             assert!(*f < (1 << 10), "corrupted key stays in width");
@@ -1823,7 +1816,7 @@ mod tests {
             29,
         );
         km.renew(0, Asid::new(3), Vmid::new(1), 0);
-        let (old_key, _) = km.index_key(0, 0x77, Asid::new(3), Vmid::new(1), 5000);
+        let old_key = km.index_key(0, 0x77, 5000);
         km.set_fault_injector(Some(FaultInjector::from_plan(
             FaultPlan::new(5).with_refresh_delays(1, 10_000),
         )));
@@ -1831,12 +1824,11 @@ mod tests {
         assert_eq!(done, 20_000 + 263, "acknowledged timing is nominal");
         // At the nominal completion time the rewrite is still 10_000 cycles
         // behind: the old key is still being served.
-        let (key, _) = km.index_key(0, 0x77, Asid::new(3), Vmid::new(1), 20_000 + 263);
+        let key = km.index_key(0, 0x77, 20_000 + 263);
         assert_eq!(key, old_key, "stale key during the delayed rewrite");
         // Eventually the new generation lands.
-        let (late, _) = km.index_key(0, 0x77, Asid::new(3), Vmid::new(1), 40_000);
+        let _ = km.index_key(0, 0x77, 40_000);
         assert_eq!(km.slot(0).table().generation(), 2);
-        let _ = late;
     }
 
     #[test]
@@ -1882,13 +1874,9 @@ mod tests {
         km.set_fault_injector(Some(FaultInjector::from_plan(
             FaultPlan::new(5).with_counter_saturation(10),
         )));
-        let mut renewals = 0;
-        for i in 0..100u64 {
-            let (_, renewed) = km.index_key(0, i, Asid::new(3), Vmid::new(1), 5000 + i);
-            if renewed {
-                renewals += 1;
-            }
-        }
+        let renewals = (0..100u64)
+            .filter(|&i| km.count_access(0, Asid::new(3), Vmid::new(1), 5000 + i))
+            .count();
         assert_eq!(renewals, 10, "every 10th access saturates and renews");
     }
 
@@ -1904,7 +1892,8 @@ mod tests {
         km.set_fault_injector(Some(inj.clone()));
         km.renew(0, Asid::new(3), Vmid::new(1), 0);
         for i in 0..50u64 {
-            let _ = km.index_key(0, i, Asid::new(3), Vmid::new(1), 1000 + i);
+            let _ = km.index_key(0, i, 1000 + i);
+            assert!(!km.count_access(0, Asid::new(3), Vmid::new(1), 1000 + i));
         }
         assert_eq!(inj.stats(), FaultStats::default());
     }

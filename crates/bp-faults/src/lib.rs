@@ -151,8 +151,9 @@ pub trait FaultHook: fmt::Debug {
         RefreshDisposition::Proceed
     }
 
-    /// Called on every renewal-counter check. Returning `true` saturates
-    /// the access counter, forcing an immediate renewal.
+    /// Called on every counted access, once per predicted branch
+    /// (`KeyManager::count_access`). Returning `true` saturates the slot's
+    /// access counter, forcing an immediate renewal.
     fn saturate_counter(&mut self, slot: usize, now: Cycle) -> bool {
         let _ = (slot, now);
         false
@@ -305,7 +306,7 @@ impl FaultPlan {
         self
     }
 
-    /// Saturate the access counter on every `period`-th counter check.
+    /// Saturate the access counter on every `period`-th counted access.
     pub fn with_counter_saturation(mut self, period: u64) -> Self {
         self.counter_saturate = Every::new(period);
         self

@@ -124,7 +124,7 @@ pub struct BpuObservation {
 /// no key material, only epoch bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyEpoch {
-    /// The slot's keys-table generation (bumped when a rewrite completes).
+    /// The slot's keys-table generation (bumped when a rewrite begins).
     pub generation: u64,
     /// Whether a background keys-table rewrite is currently in flight.
     pub refresh_in_flight: bool,
@@ -395,6 +395,7 @@ impl SecureBpu {
         let btb_slot = self.btb_slot(domain);
         if let CodecState::Hybp(c) = &mut self.codec {
             c.set_context(domain.isolation_slot(), domain.asid(), Vmid::new(0));
+            c.count_access(now);
             // A prediction served while the slot's code-book rewrite is
             // still in flight uses stale keys instead of waiting (§V-C2);
             // counting these makes the latency-hiding claim assertable.
@@ -679,7 +680,7 @@ impl Observable for SecureBpu {
         if let CodecState::Hybp(c) = &self.codec {
             let cs = c.stats();
             snap = snap
-                .with("randomized_accesses", cs.randomized_accesses)
+                .with("key_reads", cs.key_reads)
                 .with("counter_renewals", cs.counter_renewals);
         }
         snap
@@ -994,17 +995,12 @@ mod tests {
 
     #[test]
     fn key_reads_per_branch_are_pinned() {
-        // One key read is one keys-table lookup (`randomized_accesses`):
-        // one per index or tag transform of the L2 BTB or a tagged table.
+        // One key read is one keys-table lookup (`key_reads`): one per
+        // index or tag transform of the L2 BTB or a tagged table.
         let mut bpu = SecureBpu::new(Mechanism::hybp_default(), 1, 7).expect("valid config");
         let hw = HwThreadId::new(0);
         bpu.on_context_switch(hw, Asid::new(1), 0);
-        let reads = |bpu: &SecureBpu| {
-            bpu.observation()
-                .codec
-                .expect("hybp has a codec")
-                .randomized_accesses
-        };
+        let reads = |bpu: &SecureBpu| bpu.observation().codec.expect("hybp has a codec").key_reads;
         let ret = BranchRecord::unconditional(
             Addr::new(0x9050),
             BranchKind::Return,
@@ -1034,6 +1030,39 @@ mod tests {
             let _ = bpu.process_branch(hw, &rec, 1_000);
             assert_eq!(reads(&bpu) - before, expected, "{rec:?}");
         }
+    }
+
+    #[test]
+    fn renewal_counts_one_access_per_predicted_branch() {
+        // 160 branches at a threshold of 16 renew 10 times, whatever each
+        // branch reads: 34 or 32 keys for a conditional, 4 for a direct
+        // branch and none for a return.
+        let mut cfg = crate::HybpConfig::paper_default();
+        cfg.renewal_threshold = 16;
+        let mut bpu = SecureBpu::new(Mechanism::HyBp(cfg), 1, 7).expect("valid config");
+        let hw = HwThreadId::new(0);
+        bpu.on_context_switch(hw, Asid::new(1), 0);
+        let branches = [
+            taken_cond(0x4000, 0x4100),
+            BranchRecord::conditional(Addr::new(0x5000), Addr::new(0x5100), false, 4),
+            BranchRecord::unconditional(
+                Addr::new(0x6000),
+                BranchKind::Direct,
+                Addr::new(0x7000),
+                2,
+            ),
+            BranchRecord::unconditional(
+                Addr::new(0x9050),
+                BranchKind::Return,
+                Addr::new(0x1004),
+                3,
+            ),
+        ];
+        for i in 0..160u64 {
+            let _ = bpu.process_branch(hw, &branches[i as usize % 4], 1_000 + i);
+        }
+        let codec = bpu.observation().codec.expect("hybp has a codec");
+        assert_eq!(codec.counter_renewals, 10, "{codec:?}");
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! the branch PC indexes the per-`(thread, privilege)` randomized keys table
 //! (the QARMA-filled "code book"); the retrieved key is XOR-combined with
 //! the plaintext index. Content (and the partial tag, which is stored
-//! content) is XOR-encrypted with the per-slot content key. Every keys-table
-//! access is counted, and crossing the renewal threshold re-keys the slot
-//! automatically (§V-D). A TAGE walk reads one `(slot, PC-slice)` entry for
-//! all its tables; [`HybpCodec`]'s `tagged_walk_keys` fetches it once when
-//! no fault or renewal can land inside the walk.
+//! content) is XOR-encrypted with the per-slot content key. The BPU counts
+//! one access per predicted branch ([`HybpCodec::count_access`]), and the
+//! slot's count reaching the renewal threshold re-keys it (§V-D); keys-table
+//! reads are counted apart and renew nothing. A TAGE walk reads one
+//! `(slot, PC-slice)` entry for all its tables; [`HybpCodec`]'s
+//! `tagged_walk_keys` fetches it once unless a fault injector is attached.
 
 use bp_common::{Addr, Asid, ConfigError, Cycle, Vmid};
 use bp_crypto::keys::{KeyManager, KeysTableConfig};
@@ -28,11 +29,12 @@ use crate::mechanism::HybpConfig;
 pub struct CodecStats {
     /// Keys-table reads: one per index or tag transform of the L2 BTB or a
     /// TAGE tagged table, which is 30 per TAGE predict (15 tables × index
-    /// and tag). A TAGE walk counts its 30 in one step when no fault or
-    /// renewal can intervene, and one at a time otherwise. The renewal
-    /// counter counts the same reads.
-    pub randomized_accesses: u64,
-    /// Key renewals triggered by the access counter (not context switches).
+    /// and tag). A TAGE walk counts its 30 in one step, or one at a time
+    /// when a fault injector is attached. Reads do not count toward
+    /// renewal.
+    pub key_reads: u64,
+    /// Key renewals triggered by the access counter, which counts predicted
+    /// branches per slot (not context switches).
     pub counter_renewals: u64,
 }
 
@@ -106,6 +108,15 @@ impl HybpCodec {
         self.key_manager.renew(slot, asid, self.vmid, now)
     }
 
+    /// Counts one access (one predicted branch) of the active slot, which
+    /// renews its keys when the slot's count reaches the threshold.
+    pub fn count_access(&mut self, now: Cycle) {
+        let renewed = self
+            .key_manager
+            .count_access(self.slot, self.asid, self.vmid, now);
+        self.stats.counter_renewals += u64::from(renewed);
+    }
+
     /// Accumulated statistics.
     pub fn stats(&self) -> CodecStats {
         self.stats
@@ -132,15 +143,9 @@ impl HybpCodec {
     }
 
     fn index_key(&mut self, pc: Addr, now: Cycle) -> u64 {
-        self.stats.randomized_accesses += 1;
+        self.stats.key_reads += 1;
         let pc_slice = self.pc_slice(pc);
-        let (key, renewed) = self
-            .key_manager
-            .index_key(self.slot, pc_slice, self.asid, self.vmid, now);
-        if renewed {
-            self.stats.counter_renewals += 1;
-        }
-        key
+        self.key_manager.index_key(self.slot, pc_slice, now)
     }
 
     fn content_key(&self) -> u64 {
@@ -202,12 +207,11 @@ impl TableCodec for HybpCodec {
     }
 
     /// Every tagged table is randomized, and a walk reads the same
-    /// `(slot, PC-slice)` keys-table entry twice per table. When no fault
-    /// injector is attached and no renewal can fire inside the walk, one
-    /// read counted `2·tables` times gives every key. Otherwise the reads go
-    /// one at a time, as the per-access transforms make them: a fault acts
-    /// on each read, and a renewal changes the content key at once while
-    /// index keys read stale until their word is rewritten.
+    /// `(slot, PC-slice)` keys-table entry twice per table. No renewal lands
+    /// inside a walk (renewal counts branches, not reads), so when no fault
+    /// injector is attached one read counted `2·tables` times gives every
+    /// key. Otherwise the reads go one at a time, as the per-access
+    /// transforms make them, because a fault acts on each read.
     fn tagged_walk_keys(&mut self, pc: Addr, now: Cycle, keys: &mut [(u64, u64)]) {
         let reads = 2 * keys.len() as u64;
         let pc_slice = self.pc_slice(pc);
@@ -215,7 +219,7 @@ impl TableCodec for HybpCodec {
             .key_manager
             .index_key_n(self.slot, pc_slice, reads, now)
         {
-            self.stats.randomized_accesses += reads;
+            self.stats.key_reads += reads;
             for (i, key) in keys.iter_mut().enumerate() {
                 *key = (k, self.tag_key(k, TableId::new(TableUnit::TageTagged, i)));
             }
@@ -344,13 +348,13 @@ mod tests {
     }
 
     #[test]
-    fn accesses_are_counted() {
+    fn key_reads_are_counted() {
         let mut c = codec();
         c.set_context(0, Asid::new(1), Vmid::new(0));
-        let before = c.stats().randomized_accesses;
+        let before = c.stats().key_reads;
         let _ = c.transform_index(l2(), 0, Addr::new(0), 5000);
         let _ = c.transform_index(l0(), 0, Addr::new(0), 5000); // not counted
-        assert_eq!(c.stats().randomized_accesses, before + 1);
+        assert_eq!(c.stats().key_reads, before + 1);
     }
 
     #[test]
@@ -361,8 +365,10 @@ mod tests {
         c.renew_slot(0, Asid::new(1), 0);
         c.set_context(0, Asid::new(1), Vmid::new(0));
         for i in 0..40u64 {
+            c.count_access(1000 + i);
+            // Reads between accesses renew nothing.
             let _ = c.transform_index(l2(), i, Addr::new(0x100 + i * 4), 1000 + i);
         }
-        assert!(c.stats().counter_renewals >= 3, "renewals: {:?}", c.stats());
+        assert_eq!(c.stats().counter_renewals, 5, "renewals: {:?}", c.stats());
     }
 }

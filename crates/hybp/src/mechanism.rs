@@ -64,7 +64,8 @@ impl fmt::Display for CipherKind {
 pub struct HybpConfig {
     /// Geometry of each per-slot randomized index keys table.
     pub keys_table: KeysTableConfig,
-    /// Access-counter threshold forcing a key renewal (paper: ≈ 2²⁷).
+    /// Predicted branches per slot that force a key renewal (paper: ≈ 2²⁷
+    /// BPU accesses).
     pub renewal_threshold: u64,
     /// The cipher filling the code book.
     pub cipher: CipherKind,

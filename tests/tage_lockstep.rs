@@ -7,7 +7,7 @@
 //! 16 bits in one block, steps its folds as one lane array, and asks the
 //! codec for a whole walk's keys at once (`TableCodec::tagged_walk_keys`),
 //! which HyBP's codec answers with one keys-table read counted 30 times
-//! when no fault or renewal can intervene.
+//! when no fault injector is attached.
 //!
 //! Both models run the same branch stream, each with its own identically
 //! built codec, and must agree on every prediction, on every table's final
@@ -16,8 +16,9 @@
 //! and seeded random ones over every table geometry the experiments build
 //! plus one at the edges of what `Tage` accepts. The schedule re-keys a
 //! slot every `SWITCH_EVERY` branches (so reads land on stale words
-//! mid-refresh) and updates without a preceding predict every
-//! `UNPREDICTED_EVERY` branches (the lost-lookup recovery path).
+//! mid-refresh), counts one renewal-counter access per branch on both sides,
+//! and updates without a preceding predict every `UNPREDICTED_EVERY`
+//! branches (the lost-lookup recovery path).
 
 #![allow(
     clippy::expect_used,
@@ -49,10 +50,11 @@ const SIM_GRID_BENCHES: [SpecBenchmark; 6] = [
 const SWITCH_EVERY: usize = 1_500;
 /// Every this many branches, `update` runs without a `predict`.
 const UNPREDICTED_EVERY: usize = 97;
-/// A renewal threshold the streams cross many times. Each renewal
-/// re-encrypts the keys table, so a much smaller one would dominate the
-/// run time.
-const RENEWING_THRESHOLD: u64 = 1_001;
+/// A renewal threshold, in branches, the streams cross many times: a walk
+/// reads 30 keys, so this renews about every 1,100 key reads. Each renewal
+/// restarts the code book, whose words are then encrypted again as reads
+/// reach them, so a much smaller one would dominate the run time.
+const RENEWING_THRESHOLD: u64 = 37;
 
 // ---------------------------------------------------------------------------
 // The reference model.
@@ -320,16 +322,21 @@ impl RefTage {
 // The lockstep driver.
 
 /// What the driver needs of a codec beyond the table transforms: the
-/// context-switch action and the counters both sides must end with.
+/// context-switch action, the per-branch access count and the counters
+/// both sides must end with.
 trait LockstepCodec: TableCodec {
     /// Makes `slot` active with a fresh key generation.
     fn switch_to(&mut self, slot: usize, asid: Asid, now: Cycle);
+    /// Runs before each branch, as `SecureBpu::process_branch` does.
+    fn on_branch(&mut self, now: Cycle);
     /// Every counter the codec and its keys tables keep, as text.
     fn counters(&self) -> String;
 }
 
 impl LockstepCodec for IdentityCodec {
     fn switch_to(&mut self, _slot: usize, _asid: Asid, _now: Cycle) {}
+
+    fn on_branch(&mut self, _now: Cycle) {}
 
     fn counters(&self) -> String {
         String::new()
@@ -372,13 +379,17 @@ impl LockstepCodec for Hybp {
         self.codec.renew_slot(slot, asid, now);
     }
 
+    fn on_branch(&mut self, now: Cycle) {
+        self.codec.count_access(now);
+    }
+
     fn counters(&self) -> String {
         let km = self.codec.key_manager();
         let tables: Vec<_> = (0..self.slots)
             .map(|s| {
                 let t = km.slot(s).table();
                 (
-                    t.accesses_since_refresh(),
+                    km.accesses(s),
                     t.stale_hits(),
                     t.generation(),
                     t.anomalous_reads(),
@@ -499,6 +510,8 @@ fn lockstep<C: LockstepCodec>(
             fast.flush_slot(slot);
             reference.flush_slot(slot);
         }
+        fast_codec.on_branch(b.now);
+        ref_codec.on_branch(b.now);
         if i % UNPREDICTED_EVERY != 0 {
             let got = fast.predict_slot(b.pc, slot, &mut fast_codec, b.now);
             let want = reference.predict(b.pc, slot, &mut ref_codec, b.now);
@@ -541,8 +554,8 @@ fn check_all_codecs(label: &str, config: &TageConfig, stream: &[Branch]) {
             renewal_threshold: PAPER_RENEWAL_THRESHOLD,
             key_flip_period: None,
         },
-        // Renewals land inside walks, on every read position of a walk in
-        // turn (a walk reads 30 times; 1,001 = 33 · 30 + 11).
+        // Renewals land between walks, every `RENEWING_THRESHOLD` branches
+        // of a slot.
         HybpSetup {
             slots: 1,
             renewal_threshold: RENEWING_THRESHOLD,
